@@ -8,6 +8,13 @@
     [.data] at [data_base] (default: RAM base + 64 KiB); [.org] moves
     the cursor within the current section. *)
 
+val max_image_bytes : int
+(** 16 MiB: the most bytes an image may hold, summed over both
+    sections ([.space]/[.zero] and [.align] padding included), and the
+    farthest a single [.org] may move the cursor.  A source that goes
+    past it is an [Error] at the line that does, so hostile input cannot
+    make the assembler allocate more than that. *)
+
 type error = { line : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit

@@ -2,10 +2,13 @@
 
     The surface syntax is the GNU-as RISC-V dialect restricted to what
     the ecosystem needs: labels, a directive set ([.text], [.data],
-    [.org], [.align], [.word], [.half], [.byte], [.ascii], [.asciz],
-    [.space], [.equ], [.globl]), instructions with register / immediate
-    / [offset(base)] operands, [%hi]/[%lo] relocation operators, and
-    [#]-or-[//] comments. *)
+    [.org], [.align], [.word], [.half], [.byte], [.ascii],
+    [.asciz]/[.string], [.space]/[.zero], [.equ]/[.set],
+    [.globl]/[.global]), instructions with register / immediate /
+    [offset(base)] operands, [%hi]/[%lo] relocation operators, and
+    [#]-or-[//] comments.
+
+    The parser makes one pass over the source string, by index. *)
 
 type expr =
   | Num of int
@@ -31,8 +34,13 @@ type stmt =
 exception Parse_error of int * string
 (** (line number, message). *)
 
-val parse_string : string -> (int * stmt) list
-(** Parses a whole source file into (line, statement) pairs.
+val max_expr_depth : int
+(** 256: the deepest expression tree accepted, counting parentheses,
+    unary minus, [%hi]/[%lo] and each [+]/[-] of a chain. *)
+
+val parse_string : string -> (int * stmt) array
+(** Parses a whole source file into (line, statement) pairs, in source
+    order.
     @raise Parse_error on malformed input. *)
 
 val pp_expr : Format.formatter -> expr -> unit

@@ -22,6 +22,65 @@ let test_reg_names () =
   Alcotest.(check (option int)) "parse f31" (Some 31) (Reg.f_of_name "f31");
   Alcotest.(check string) "f name" "ft0" (Reg.f_name 0)
 
+(* The name tables accept exactly what the original parser did: a
+   prefix plus a one- or two-character suffix that [int_of_string] reads
+   as 0..31, or an ABI name.  Every such suffix is enumerated, over all
+   256 byte values, for both files and a few non-prefixes. *)
+let test_reg_name_spellings () =
+  let reference prefix abi s =
+    let n = String.length prefix in
+    let indexed =
+      if String.length s > n && String.length s <= n + 2 && String.sub s 0 n = prefix
+      then
+        match int_of_string_opt (String.sub s n (String.length s - n)) with
+        | Some i when Reg.valid i -> Some i
+        | Some _ | None -> None
+      else None
+    in
+    match indexed with
+    | Some i -> Some i
+    | None ->
+        let rec find i =
+          if i >= Array.length abi then None
+          else if abi.(i) = s then Some i
+          else find (i + 1)
+        in
+        find 0
+  in
+  let x_abi = Array.init 32 Reg.abi_name and f_abi = Array.init 32 Reg.f_name in
+  let x_ref s = if s = "fp" then Some Reg.fp else reference "x" x_abi s in
+  let f_ref = reference "f" f_abi in
+  let accepted = Hashtbl.create 256 in
+  let check s =
+    let x = Reg.of_name s and f = Reg.f_of_name s in
+    if x <> x_ref s then Alcotest.failf "of_name %S" s;
+    if f <> f_ref s then Alcotest.failf "f_of_name %S" s;
+    if x <> None || f <> None then Hashtbl.replace accepted s ()
+  in
+  let byte c = String.make 1 (Char.chr c) in
+  List.iter
+    (fun prefix ->
+      check prefix;
+      for a = 0 to 255 do
+        check (prefix ^ byte a);
+        for b = 0 to 255 do
+          check (prefix ^ byte a ^ byte b)
+        done
+      done)
+    [ "x"; "f"; "X"; "" ];
+  Array.iter (fun n -> check n; check (n ^ "0"); check (String.uppercase_ascii n)) x_abi;
+  Array.iter (fun n -> check n; check (n ^ "0"); check (String.uppercase_ascii n)) f_abi;
+  (* the assembler only looks up 2-4 character names that start with a
+     lowercase letter *)
+  Hashtbl.iter
+    (fun s () ->
+      if String.length s < 2 || String.length s > 4 || s.[0] < 'a' || s.[0] > 'z' then
+        Alcotest.failf "register name %S is outside the shape the assembler looks up" s)
+    accepted;
+  (* 63 numeric spellings per file, 32 ABI names each, plus "fp" *)
+  Alcotest.(check int) "accepted spellings" ((2 * (63 + 32)) + 1)
+    (Hashtbl.length accepted)
+
 let test_csr_names () =
   Alcotest.(check (option int)) "mstatus" (Some 0x300) (Csr.of_name "mstatus");
   Alcotest.(check string) "name roundtrip" "mepc" (Csr.name Csr.mepc);
@@ -207,6 +266,8 @@ let () =
   Alcotest.run "isa"
     [ ( "unit",
         [ Alcotest.test_case "register names" `Quick test_reg_names;
+          Alcotest.test_case "register name spellings" `Quick
+            test_reg_name_spellings;
           Alcotest.test_case "csr names" `Quick test_csr_names;
           Alcotest.test_case "directed encodings" `Quick test_directed_encodings;
           Alcotest.test_case "decode rejects" `Quick test_decode_rejects;
