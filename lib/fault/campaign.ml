@@ -724,14 +724,10 @@ let run_indexed ?config ?(engine = default_engine) ?jobs ?metrics ?trace:sink
       in
       let results =
         if jobs = 1 || List.length chunks = 1 then List.map task chunks
-        else begin
-          (* touch the shared decoder tables once before worker domains
-             could race on their lazy initialization *)
-          ignore (Machine.create ?config () : Machine.t);
+        else
           Par_pool.with_pool ~jobs (fun pool ->
               Option.iter (fun m -> Par_pool.register_metrics pool m) metrics;
               Par_pool.map_chunked ~chunk:1 pool task chunks)
-        end
       in
       List.concat_map
         (fun chunk ->

@@ -24,6 +24,28 @@ type grant = {
   g_resume : (string * string list) option;
 }
 
+module Alarm = struct
+  (* A self-pipe: [wait] sleeps in [Unix.select] on its read end, and
+     [wake] makes it readable. *)
+  type t = { r : Unix.file_descr; w : Unix.file_descr }
+
+  let create () =
+    let r, w = Unix.pipe ~cloexec:true () in
+    { r; w }
+
+  let wait t seconds =
+    match Unix.select [ t.r ] [] [] seconds with
+    | [], _, _ -> false
+    | _ :: _, _, _ -> true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
+  let wake t = ignore (Unix.write_substring t.w "!" 0 1 : int)
+
+  let close t =
+    Unix.close t.r;
+    Unix.close t.w
+end
+
 let parse_grant v =
   match
     ( Json.mem_str "job" v,
@@ -107,27 +129,16 @@ let run ?(name = "worker") ?(poll_s = 0.5) ?(batch = 32) ?stop ?(drain = false)
           if !buffered >= batch then flush ()
         in
         (* Heartbeat: renew at ttl/3 so one missed beat still leaves
-           slack before expiry.  The wait is chopped into short naps so
-           a finished shard is joined in ~50 ms, not a full interval. *)
+           slack before expiry.  It waits on an alarm, so the end of the
+           shard wakes it at once instead of after a nap. *)
+        let alarm = Alarm.create () in
         let shard_done = Atomic.make false in
         let heartbeat =
           Thread.create
             (fun () ->
               let interval = Float.max 0.05 (g.g_ttl /. 3.) in
-              let nap until =
-                let rec go remaining =
-                  if remaining > 0.
-                     && not (Atomic.get shard_done || Atomic.get lost)
-                  then begin
-                    let step = Float.min 0.05 remaining in
-                    Thread.delay step;
-                    go (remaining -. step)
-                  end
-                in
-                go until
-              in
               while not (Atomic.get shard_done || Atomic.get lost) do
-                nap interval;
+                ignore (Alarm.wait alarm interval : bool);
                 if not (Atomic.get shard_done || Atomic.get lost) then
                   match
                     Client.request client ~meth:"POST" ~path:"/api/renew"
@@ -150,7 +161,9 @@ let run ?(name = "worker") ?(poll_s = 0.5) ?(batch = 32) ?stop ?(drain = false)
         in
         flush ();
         Atomic.set shard_done true;
+        Alarm.wake alarm;
         (try Thread.join heartbeat with _ -> ());
+        Alarm.close alarm;
         let lease_body = Json.Obj [ ("lease", Json.String g.g_lease) ] in
         match (result, Atomic.get lost, stopped ()) with
         | Ok (), false, false -> (

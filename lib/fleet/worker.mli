@@ -3,8 +3,9 @@
     A worker repeatedly asks the orchestrator for a shard lease, runs
     the campaign shard through the caller-supplied [runner], and streams
     the journal lines the runner emits back in batches.  While a shard
-    runs, a heartbeat thread renews the lease every [ttl/3]; if the
-    server reports the lease stale (the shard was reclaimed after a
+    runs, a heartbeat thread renews the lease every [ttl/3], and the
+    end of the shard wakes it at once, so finishing a shard costs no
+    wait.  If the server reports the lease stale (the shard was reclaimed after a
     stall or partition), the runner is cancelled cooperatively and the
     shard abandoned — its streamed records remain valid on the server.
 
@@ -31,6 +32,21 @@ type outcome = {
   o_shards_failed : int;  (** runner errors and lost leases *)
   o_records : int;  (** journal lines streamed (headers included) *)
 }
+
+(** The heartbeat's sleep: a wait that a second thread can cut short. *)
+module Alarm : sig
+  type t
+
+  val create : unit -> t
+
+  val wait : t -> float -> bool
+  (** [wait t s] sleeps until [wake] is called or [s] seconds pass;
+      [true] if it was woken.  Once woken it stays awake: every later
+      [wait] returns [true] at once. *)
+
+  val wake : t -> unit
+  val close : t -> unit
+end
 
 val run :
   ?name:string ->

@@ -36,7 +36,8 @@ val rv32_rows : spec list
 (** The full RV32I+M+Zicsr+F-subset+BMI row table. *)
 
 val rv32 : unit -> t
-(** Compiled decoder for {!rv32_rows} (memoized). *)
+(** Compiled decoder for {!rv32_rows}, built once when the module is
+    initialised, so any number of domains may share it. *)
 
 (** Shape statistics, for the E7 report. *)
 type stats = { rows : int; switch_nodes : int; leaves : int; max_depth : int;

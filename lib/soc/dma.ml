@@ -240,6 +240,9 @@ let reset t =
   t.busy <- false;
   t.pending_at <- max_int;
   t.ev <- -1;
+  (* software reads these counters, so a re-run after reset must see 0 *)
+  t.bursts <- 0;
+  t.bytes <- 0;
   update_line t
 
 (* Everything a resumed run depends on, including the in-flight

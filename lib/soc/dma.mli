@@ -94,6 +94,8 @@ val set_observer : t -> (bytes:int -> depth:int -> unit) option -> unit
 (** {1 Reset / snapshot} *)
 
 val reset : t -> unit
+(** Cancels any in-flight burst and returns every register, the
+    [BURSTS]/[BYTES] counters included, to its power-on value. *)
 
 type snapshot
 

@@ -9,6 +9,8 @@ module Json = S4e_fleet.Json
 module Http = S4e_fleet.Http
 module Lease = S4e_fleet.Lease
 module Server = S4e_fleet.Server
+module Client = S4e_fleet.Client
+module Worker = S4e_fleet.Worker
 module Journal = S4e_fault.Journal
 module Campaign = S4e_fault.Campaign
 module Flows = S4e_core.Flows
@@ -485,6 +487,68 @@ let test_process_gauges () =
   | S4e_obs.Metrics.Float s -> Alcotest.(check bool) "uptime sane" true (s >= 0.)
   | _ -> Alcotest.fail "uptime not a float"
 
+(* ---------------- worker heartbeat ---------------- *)
+
+let test_alarm_wakes_sleeper () =
+  let a = Worker.Alarm.create () in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "times out unwoken" false (Worker.Alarm.wait a 0.02);
+  Alcotest.(check bool) "slept" true (Unix.gettimeofday () -. t0 >= 0.015);
+  let woken = ref false and slept = ref 0. in
+  let sleeper =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        woken := Worker.Alarm.wait a 60.;
+        slept := Unix.gettimeofday () -. t0)
+      ()
+  in
+  Thread.delay 0.05;
+  Worker.Alarm.wake a;
+  Thread.join sleeper;
+  Alcotest.(check bool) "woken" true !woken;
+  Alcotest.(check bool) "long before its timeout" true (!slept < 10.);
+  Alcotest.(check bool) "stays awake" true (Worker.Alarm.wait a 60.);
+  Worker.Alarm.close a
+
+(* With a 60 s TTL the heartbeat sleeps 20 s between renewals: a worker
+   that waited for it at the end of each shard would take a minute for
+   these three. *)
+let test_worker_wakes_heartbeat_on_shard_end () =
+  let server = Server.create ~ttl:60. () in
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "s4e-wake-%d.sock" (Unix.getpid ()))
+  in
+  match Server.start server (Http.Unix_path sock) with
+  | Error e -> Alcotest.failf "server: %s" e
+  | Ok addr ->
+      let client = Client.create addr in
+      let shards = 3 in
+      (match
+         Client.request client ~meth:"POST" ~path:"/api/jobs"
+           ~body:(Json.Obj [ ("shards", Json.Int shards) ]) ()
+       with
+      | Ok (200, _) -> ()
+      | _ -> Alcotest.fail "submit");
+      let runner ~spec:_ ~shard:(i, n) ~resume:_ ~emit ~cancelled:_ =
+        emit (header_line ~seed:1 ~total:n ~shard:(i, n) ~program:"p");
+        emit (record_line ~i ~outcome:"masked");
+        Ok ()
+      in
+      let t0 = Unix.gettimeofday () in
+      let r = Worker.run ~poll_s:0.01 ~drain:true ~client ~runner () in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Client.close client;
+      Server.stop server;
+      if Sys.file_exists sock then Sys.remove sock;
+      (match r with
+      | Ok o -> Alcotest.(check int) "shards completed" shards o.Worker.o_shards_ok
+      | Error e -> Alcotest.failf "worker: %s" e);
+      Alcotest.(check bool)
+        (Printf.sprintf "no heartbeat wait (%.2f s for %d shards)" elapsed shards)
+        true (elapsed < 10.)
+
 let () =
   Alcotest.run "fleet"
     [ ( "json",
@@ -507,6 +571,10 @@ let () =
             test_server_conflict_fails_job;
           Alcotest.test_case "fairness across jobs" `Quick
             test_server_fairness_across_jobs ] );
+      ( "worker",
+        [ Alcotest.test_case "alarm wakes a sleeper" `Quick test_alarm_wakes_sleeper;
+          Alcotest.test_case "shard end wakes the heartbeat" `Quick
+            test_worker_wakes_heartbeat_on_shard_end ] );
       ( "fleet",
         [ fleet_determinism;
           Alcotest.test_case "process gauges" `Quick test_process_gauges ] ) ]

@@ -453,6 +453,76 @@ _start:
   | stop -> Alcotest.failf "second run: %a" Machine.pp_stop_reason stop);
   Alcotest.(check string) "second run output" "x" (Machine.uart_output m)
 
+(* An IRQ-driven DMA driver that polls the BURSTS counter: after a
+   reset it must take exactly the path of its first run, so reset has
+   to clear the counters software can read. *)
+let test_machine_reset_clears_dma () =
+  let p =
+    assemble {|
+  .equ DMA, 0x10020000
+_start:
+  la   t0, handler
+  csrw mtvec, t0
+  li   t0, 0x800
+  csrw mie, t0
+  csrrsi zero, mstatus, 8
+  la   a0, ring
+  la   a1, src
+  la   a2, dst
+  sw   a1, 0(a0)
+  sw   a2, 4(a0)
+  li   t1, 64
+  sw   t1, 8(a0)
+  li   t1, 1
+  sw   t1, 12(a0)
+  li   s0, DMA
+  sw   a0, 0x00(s0)
+  sw   t1, 0x04(s0)
+  sw   t1, 0x14(s0)
+  sw   t1, 0x08(s0)
+wait:
+  lw   t1, 0x20(s0)     # BURSTS
+  bnez t1, drained
+  wfi
+  j    wait
+drained:
+  lw   t2, 0x24(s0)     # BYTES
+  lw   t4, 0(a2)        # first copied word
+  add  a0, t2, t4
+  li   t6, 0x00100000
+  sw   a0, 0(t6)
+  ebreak
+handler:
+  li   t5, DMA
+  lw   t4, 0x10(t5)
+  sw   t4, 0x10(t5)
+  mret
+  .data
+ring:
+  .space 16
+src:
+  .word 0x11223344, 2, 3, 4, 5, 6, 7, 8
+  .space 32
+dst:
+  .space 64
+|}
+  in
+  let m = Machine.create () in
+  let run () =
+    (* reload the data the first run changed; this also resets *)
+    S4e_asm.Program.load_machine p m;
+    let stop = Machine.run m ~fuel:100_000 in
+    (stop, Machine.instret m, Machine.state_digest m)
+  in
+  let stop1, instret1, digest1 = run () in
+  (match stop1 with
+  | Machine.Exited v when v = 0x11223344 + 64 -> ()
+  | stop -> Alcotest.failf "first run: %a" Machine.pp_stop_reason stop);
+  let stop2, instret2, digest2 = run () in
+  Alcotest.(check bool) "same stop" true (stop1 = stop2);
+  Alcotest.(check int) "same instret" instret1 instret2;
+  Alcotest.(check string) "same state digest" digest1 digest2
+
 let test_instret_cycle_csrs_visible () =
   (* software can observe its own progress through the counters *)
   let p =
@@ -492,7 +562,9 @@ let () =
           Alcotest.test_case "image file roundtrip" `Quick
             test_image_file_roundtrip_through_machine;
           Alcotest.test_case "machine reset" `Quick
-            test_machine_reset_semantics ] );
+            test_machine_reset_semantics;
+          Alcotest.test_case "machine reset clears dma counters" `Quick
+            test_machine_reset_clears_dma ] );
       ( "io-guard",
         [ Alcotest.test_case "write policy" `Quick test_io_guard_write_policy;
           Alcotest.test_case "restrict all" `Quick test_io_guard_restrict_all;
