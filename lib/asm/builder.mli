@@ -4,7 +4,11 @@
     set ([li], [la], [mv], [call], [ret], branch aliases, CSR aliases,
     FP sign-injection aliases, ...).  Pseudo expansion sizes are fixed
     per syntactic shape so that the assembler's pass 1 (layout) and
-    pass 2 (encode) agree; the assembler asserts this. *)
+    pass 2 (encode) agree; the assembler asserts this.
+
+    One table, built once, maps each mnemonic to its size rule and its
+    build function; {!size_of}, {!build} and {!known_mnemonics} all read
+    it. *)
 
 exception Build_error of string
 
@@ -24,6 +28,7 @@ val build :
     @raise Build_error for range violations and shape errors. *)
 
 val known_mnemonics : unit -> string list
+(** Every mnemonic in the table, real and pseudo. *)
 
 val hi20 : int -> int
 (** [%hi] semantics: upper 20 bits compensated for [%lo] sign extension. *)
