@@ -23,13 +23,7 @@ let record ~exp ~name ~value ~unit_ =
   metrics := (exp, name, value, unit_) :: !metrics
 
 let write_json path =
-  let esc s =
-    String.concat ""
-      (List.map
-         (function
-           | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
+  let esc = S4e_obs.Trace_events.escape in
   let rows =
     List.rev_map
       (fun (exp, name, value, unit_) ->

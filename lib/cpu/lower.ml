@@ -5,12 +5,23 @@ module Bus = S4e_mem.Bus
 
 type word = int
 
+type reg_file = Gpr | Fpr
+
+type stuck = {
+  sk_file : reg_file;
+  sk_reg : int;
+  sk_bit : int;
+  sk_value : bool;
+}
+
 (* The lowering context: everything a compiled µop may touch, bound
    once per machine.  [lx_flush_time] applies the cycles batched so far
    in the current block to [state.cycle] and the CLINT; µops that can
    observe time (CSR accesses, any bus access below [lx_dev_limit],
    i.e. into device space) call it first so batched ticking is
-   indistinguishable from the generic per-instruction ticking. *)
+   indistinguishable from the generic per-instruction ticking.
+   [lx_stuck] is read at translate time only: whoever changes it must
+   flush the translations compiled under the old setting. *)
 type ctx = {
   lx_state : Arch_state.t;
   lx_bus : Bus.t;
@@ -18,7 +29,24 @@ type ctx = {
   lx_flush_time : unit -> unit;
   lx_notify_store : word -> unit;
   lx_dev_limit : word;
+  mutable lx_stuck : stuck option;
 }
+
+(* x0 is hardwired: a stuck bit there is never forced. *)
+let force st s =
+  match s.sk_file with
+  | Gpr ->
+      if s.sk_reg <> 0 then
+        Arch_state.set_reg st s.sk_reg
+          (Bits.set_bit s.sk_bit s.sk_value (Arch_state.get_reg st s.sk_reg))
+  | Fpr ->
+      Arch_state.set_freg st s.sk_reg
+        (Bits.set_bit s.sk_bit s.sk_value (Arch_state.get_freg st s.sk_reg))
+
+let writes_stuck s instr =
+  match s.sk_file with
+  | Gpr -> s.sk_reg <> 0 && Instr.destination instr = Some s.sk_reg
+  | Fpr -> Instr.fp_destination instr = Some s.sk_reg
 
 (* Width/sign dispatch for loads and stores, hoisted to translate
    time.  Shared with the superblock trace compiler so both engines
@@ -280,6 +308,18 @@ let lower_instr ctx ~pc ~size instr =
           set rd old;
           st.pc <- next;
           cn
+  in
+  (* Only a write to the stuck register pays for the fault: it re-forces
+     the bit straight after the write, so every later read — and the
+     flight recorder's writeback capture — sees the held value. *)
+  let exec =
+    match ctx.lx_stuck with
+    | Some s when writes_stuck s instr ->
+        fun () ->
+          let c = exec () in
+          force st s;
+          c
+    | Some _ | None -> exec
   in
   { Tb_cache.u_pc = pc; u_size = size;
     u_src_mask = Instr.source_mask instr;

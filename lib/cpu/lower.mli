@@ -21,10 +21,24 @@
     accesses) call [lx_flush_time] first, which keeps batched ticking
     observationally identical to per-instruction ticking.
 
+    A stuck-at register bit ([lx_stuck]) is resolved at translate time
+    too: only an instruction whose destination is the stuck register
+    gets one extra step, re-forcing the bit after its write.
+
     The lowered engine must stay byte-identical to {!Exec.execute} on
     every instruction — enforced by the differential property tests. *)
 
 type word = int
+
+type reg_file = Gpr | Fpr
+
+(** A register bit held at a fixed value (a permanent stuck-at fault). *)
+type stuck = {
+  sk_file : reg_file;
+  sk_reg : int;  (** 0..31; a stuck bit in x0 is never forced *)
+  sk_bit : int;  (** 0..31 *)
+  sk_value : bool;  (** the held value *)
+}
 
 type ctx = {
   lx_state : Arch_state.t;
@@ -37,7 +51,13 @@ type ctx = {
   lx_dev_limit : word;
       (** bus addresses below this may reach a device (and hence observe
           or mutate time): flush batched cycles first *)
+  mutable lx_stuck : stuck option;
+      (** read at translate time: changing it requires flushing the
+          translations lowered against this context *)
 }
+
+val force : Arch_state.t -> stuck -> unit
+(** Sets the stuck bit to its held value (no-op for x0). *)
 
 val load_fn : S4e_mem.Bus.t -> S4e_isa.Instr.op_load -> word -> word
 (** Width/sign-dispatched load with the architectural misalignment

@@ -36,6 +36,15 @@ let default_config =
     mem_tlb = true; superblocks = true; device_plane = true;
     harts = 1; hart_slice = 1024 }
 
+type reg_file = Lower.reg_file = Gpr | Fpr
+
+type stuck = Lower.stuck = {
+  sk_file : reg_file;
+  sk_reg : int;
+  sk_bit : int;
+  sk_value : bool;
+}
+
 type stop_reason =
   | Exited of int
   | Fatal_trap of Trap.exception_cause * word
@@ -368,7 +377,7 @@ let create ?(config = default_config) () =
               seg_base := !seg_idx
             end);
         lx_notify_store = notify_store;
-        lx_dev_limit = Soc.Memory_map.ram_base }
+        lx_dev_limit = Soc.Memory_map.ram_base; lx_stuck = None }
     in
     { hx_id = i; hx_state = state; hx_tb = tb; hx_lower = lower_ctx;
       hx_sb = None; hx_llm = 0; hx_parked = false }
@@ -592,6 +601,39 @@ let observe_devices ?metrics ?trace t =
 
 let set_uart_sink t sink = Soc.Uart.set_sink t.uart sink
 
+(* A stuck bit lives on the hart's lowering context, where [Lower]
+   compiles it into the instructions that write the register; both
+   changes flush the hart's translations so no block lowered under the
+   other setting survives. *)
+let set_stuck t s =
+  match s with
+  | Some sk ->
+      (* the register accessors index without bounds checks *)
+      if sk.sk_reg < 0 || sk.sk_reg > 31 || sk.sk_bit < 0 || sk.sk_bit > 31
+      then invalid_arg "Machine.set_stuck: register or bit out of range";
+      let h = t.harts.(t.cur) in
+      h.hx_lower.Lower.lx_stuck <- s;
+      Lower.force h.hx_state sk;
+      Tb_cache.flush h.hx_tb
+  | None ->
+      Array.iter
+        (fun h ->
+          if h.hx_lower.Lower.lx_stuck <> None then begin
+            h.hx_lower.Lower.lx_stuck <- None;
+            Tb_cache.flush h.hx_tb
+          end)
+        t.harts
+
+(* [reset] and [restore] rewrite the register files behind the
+   translated code's back: hold the stuck bits again. *)
+let reforce_stuck t =
+  Array.iter
+    (fun h ->
+      match h.hx_lower.Lower.lx_stuck with
+      | Some sk -> Lower.force h.hx_state sk
+      | None -> ())
+    t.harts
+
 let reset t ~pc =
   (* every hart restarts at the entry point; SMP guests branch on
      mhartid (there is no boot hand-off protocol in this platform) *)
@@ -616,7 +658,8 @@ let reset t ~pc =
   t.pending_ticks := 0;
   t.seg_idx := 0;
   t.seg_base := 0;
-  t.exit_dirty := false
+  t.exit_dirty := false;
+  reforce_stuck t
 
 let enter_interrupt t irq =
   (match t.recorder with
@@ -873,6 +916,9 @@ let run_slice t ~fuel =
        in
        (match rcd with Some _ -> pre_mem instr | None -> ());
        let taken = Exec.execute ~on_mem state t.bus ~size instr in
+       (match t.lower_ctx.Lower.lx_stuck with
+       | Some sk -> Lower.force state sk
+       | None -> ());
        if hazard > 0 then t.last_load_mask <- Instr.load_dest_mask instr;
        let c = Timing_model.cost timing instr ~taken + stall in
        state.cycle <- state.cycle + c;
@@ -1089,10 +1135,12 @@ let run_slice t ~fuel =
   (* Superblock traces ride on the unprofiled, unrecorded lowered
      engine only: a profiler needs per-block attribution, a recorder
      per-instruction capture, and hooks (lowered_ok) per-instruction
-     visibility.  All fall back transparently. *)
+     visibility.  A stuck register bit also keeps them off: fused
+     traces pass register values through OCaml locals, which would
+     read past the force.  All fall back transparently. *)
   let sb =
-    match (t.sb, prof, rcd) with
-    | Some s, None, None when lowered_ok -> Some s
+    match (t.sb, prof, rcd, t.lower_ctx.Lower.lx_stuck) with
+    | Some s, None, None, None when lowered_ok -> Some s
     | _ -> None
   in
   (* Block execution for the non-superblock paths: the lowered engine
@@ -1392,7 +1440,8 @@ let restore t s =
   (* Restored memory may hold different code than what was translated.
      The bus TLB is already flushed by this point: [Sparse_mem.restore]
      fires the change hook that [Bus.create] installed. *)
-  Array.iter (fun h -> Tb_cache.flush h.hx_tb) t.harts
+  Array.iter (fun h -> Tb_cache.flush h.hx_tb) t.harts;
+  reforce_stuck t
 
 let state_digest ?(include_time = true) ?(include_instret = true) t =
   let b = Buffer.create 1024 in

@@ -13,13 +13,20 @@
     - {b lowered} (default): translation blocks compiled to µop closure
       arrays ([Lower]) with block chaining, batched cycle/CLINT ticking,
       and hook dispatch specialized away.  Selected per block while no
-      hooks are installed.
+      hooks are installed.  Hot chained paths are further promoted to
+      superblock traces ({!Superblock}) unless a profiler, a recorder
+      or a stuck register bit ({!set_stuck}) is attached.
     - {b generic TB}: the decoded-array interpreter; used whenever hooks
       are present or [lower_blocks] is off.
     - {b single-step} ([use_tb_cache:false]): decode-dispatch per
       instruction, with interrupt sampling gated to the same block
       boundaries the TB path produces, so it is cycle-identical to the
-      cached engines. *)
+      cached engines.
+
+    A stuck register bit ({!set_stuck}) runs on all of them without a
+    hook: the lowered engine compiles it into the instructions that
+    write the register, and the generic interpreter re-forces it after
+    every instruction. *)
 
 type word = S4e_bits.Bits.word
 
@@ -71,6 +78,17 @@ val default_config : config
 (** RV32IMFC + Zicsr + B, default timing, TB cache on, DecodeTree,
     lowering, chaining, the memory TLB, superblock traces on, and one
     hart. *)
+
+type reg_file = Lower.reg_file = Gpr | Fpr
+
+(** A register bit held at a fixed value: the permanent stuck-at
+    register fault of {!S4e_fault.Injector}. *)
+type stuck = Lower.stuck = {
+  sk_file : reg_file;
+  sk_reg : int;  (** 0..31; a stuck bit in x0 is never forced *)
+  sk_bit : int;  (** 0..31 *)
+  sk_value : bool;  (** the held value *)
+}
 
 type stop_reason =
   | Exited of int  (** software wrote the syscon EXIT register *)
@@ -243,10 +261,28 @@ val set_uart_sink : t -> (string -> unit) option -> unit
 (** Installs a batched host sink for UART output ({!S4e_soc.Uart.set_sink});
     [run] flushes it at every stop. *)
 
+val set_stuck : t -> stuck option -> unit
+(** [Some s] holds a bit of the current hart's register file: it forces
+    the bit at once, records [s] on the hart's lowering context and
+    flushes the hart's translations.  From then on every instruction
+    that writes the register re-forces the bit straight after its write
+    (compiled into the lowered µop; the generic interpreter re-forces
+    after every instruction), so every read — and the flight recorder's
+    writeback record — sees the held value.  {!reset} and {!restore}
+    force it again after rewriting the registers.  Superblock traces
+    are neither promoted nor entered on a hart with a stuck bit.  A
+    stuck bit in x0 is recorded but never forced.
+
+    [None] clears the setting on every hart that has one and flushes
+    their translations.  Only legal between [run] calls.
+
+    @raise Invalid_argument when the register or bit is outside 0..31. *)
+
 val reset : t -> pc:word -> unit
 (** Architectural reset (registers, CSRs, CLINT, PLIC, syscon) of every
     hart; all harts restart at [pc] (SMP guests branch on [mhartid]).
-    Memory, the TB caches, and hooks are preserved. *)
+    Memory, the TB caches, hooks and stuck bits are preserved (a stuck
+    bit is forced again on the reset registers). *)
 
 val run : t -> fuel:int -> stop_reason
 (** Executes at most [fuel] instructions.  Interrupts are sampled at
@@ -301,7 +337,9 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** Rewinds the machine to the captured instant and flushes the TB
     cache.  [run] can then resume as if execution had never left the
-    snapshot point. *)
+    snapshot point.  Stuck bits ({!set_stuck}) are not part of a
+    snapshot: they stay set and are forced again on the restored
+    registers. *)
 
 val state_digest : ?include_time:bool -> ?include_instret:bool -> t -> string
 (** Digest of the complete snapshot-visible state (registers, CSRs,

@@ -302,8 +302,8 @@ let collect_trace ?config ~fuel ~interval ~golden program =
 
 (* Instret (absolute) after which the armed fault is fully applied and
    its hooks are inert, i.e. state equality with the golden trace
-   implies an identical future.  Stuck-at register faults re-assert on
-   every instruction, so they never qualify. *)
+   implies an identical future.  A stuck-at register bit is held for
+   the whole run, so it never qualifies. *)
 let inert_after f =
   match (f.Fault.kind, f.Fault.loc) with
   | Fault.Transient n, _ -> max 1 n
@@ -835,7 +835,10 @@ let mem_differs g m =
    The one burst that cannot be replayed is a transient's flip burst —
    the injector's counting hook does not rewind with a snapshot — but
    there the only possible mismatch is the burst's final record, whose
-   post-state is exactly the end-of-burst state already in hand. *)
+   post-state is exactly the end-of-burst state already in hand.  A
+   stuck register bit replays fine: [Machine.restore] forces it again.
+   Because it is forced at the write itself, the first divergence of a
+   stuck-at fault is usually the first write the force overrides. *)
 let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
   let capacity = max 1024 (2 * tail) in
   let g = run_machine ?config program in
@@ -1020,24 +1023,9 @@ let top_sites records =
   |> List.sort (fun (p1, c1) (p2, c2) ->
          match compare c2 c1 with 0 -> compare p1 p2 | c -> c)
 
-(* JSONL rendering, same hand-rolled discipline as {!Journal}: one
-   object per line, escapes that cover everything the disassembler and
-   [Fault.to_string] can produce. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSONL rendering: one object per line, strings through the shared
+   JSON escaper. *)
+let json_escape = Obs.Trace_events.escape
 
 let triage_to_json t =
   let b = Buffer.create 512 in

@@ -2,7 +2,10 @@ module Bits = S4e_bits.Bits
 module Machine = S4e_cpu.Machine
 module Hooks = S4e_cpu.Hooks
 
-type armed = { hook : Hooks.id option }
+(* What [disarm] has to undo: nothing for a memory flip (it persists),
+   the counting hook of a transient, the stuck bit of a permanent
+   register fault. *)
+type armed = Flipped | Hooked of Hooks.id | Stuck
 
 let flip_code m addr bit =
   let ram = S4e_mem.Bus.ram m.Machine.bus in
@@ -53,66 +56,47 @@ let validate (f : Fault.t) =
   | Fault.Transient n when n <= 0 -> bad "transient time"
   | _ -> ()
 
+(* Stuck-at: the bit is held at the flip of its value at arm time. *)
+let hold m file r bit v =
+  Machine.set_stuck m
+    (Some
+       { Machine.sk_file = file; sk_reg = r; sk_bit = bit;
+         sk_value = Bits.bit bit v = 0 });
+  Stuck
+
+(* Transient: a counting hook applies [flip] just before the [n]th
+   instruction executes. *)
+let after m n flip =
+  let count = ref 0 in
+  Hooked
+    (Hooks.on_insn m.Machine.hooks (fun _ _ ->
+         incr count;
+         if !count = n then flip ()))
+
 let arm (m : Machine.t) (f : Fault.t) =
   validate f;
   let st = m.Machine.state in
   match (f.Fault.loc, f.Fault.kind) with
   | Fault.Code (addr, bit), Fault.Permanent ->
       flip_code m addr bit;
-      { hook = None }
+      Flipped
   | Fault.Code (addr, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_code m addr bit)
-      in
-      { hook = Some id }
+      after m n (fun () -> flip_code m addr bit)
   | Fault.Data (addr, bit), Fault.Permanent ->
       flip_data m addr bit;
-      { hook = None }
+      Flipped
   | Fault.Data (addr, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_data m addr bit)
-      in
-      { hook = Some id }
+      after m n (fun () -> flip_data m addr bit)
   | Fault.Gpr (r, bit), Fault.Permanent ->
-      let stuck = 1 - Bits.bit bit (S4e_cpu.Arch_state.get_reg st r) in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            S4e_cpu.Arch_state.set_reg st r
-              (Bits.set_bit bit (stuck = 1) (S4e_cpu.Arch_state.get_reg st r)))
-      in
-      { hook = Some id }
+      hold m Machine.Gpr r bit (S4e_cpu.Arch_state.get_reg st r)
   | Fault.Gpr (r, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_gpr st r bit)
-      in
-      { hook = Some id }
+      after m n (fun () -> flip_gpr st r bit)
   | Fault.Fpr (r, bit), Fault.Permanent ->
-      let stuck = 1 - Bits.bit bit (S4e_cpu.Arch_state.get_freg st r) in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            S4e_cpu.Arch_state.set_freg st r
-              (Bits.set_bit bit (stuck = 1) (S4e_cpu.Arch_state.get_freg st r)))
-      in
-      { hook = Some id }
+      hold m Machine.Fpr r bit (S4e_cpu.Arch_state.get_freg st r)
   | Fault.Fpr (r, bit), Fault.Transient n ->
-      let count = ref 0 in
-      let id =
-        Hooks.on_insn m.Machine.hooks (fun _ _ ->
-            incr count;
-            if !count = n then flip_fpr st r bit)
-      in
-      { hook = Some id }
+      after m n (fun () -> flip_fpr st r bit)
 
-let disarm (m : Machine.t) armed =
-  match armed.hook with
-  | Some id -> Hooks.unregister m.Machine.hooks id
-  | None -> ()
+let disarm (m : Machine.t) = function
+  | Flipped -> ()
+  | Hooked id -> Hooks.unregister m.Machine.hooks id
+  | Stuck -> Machine.set_stuck m None

@@ -1,11 +1,13 @@
 (** Applying a fault to a live machine.
 
     Code and data flips touch memory directly (a flipped code bit is a
-    binary mutation, XEMU-style); register faults are realized through
-    the hook API — a transient flips the bit once after N retired
-    instructions, a permanent holds the bit at its flipped ("stuck")
-    value before every instruction.  Arm after loading the program and
-    before running. *)
+    binary mutation, XEMU-style).  A transient fault flips its bit once,
+    from a counting hook, just before the Nth instruction executes.  A
+    permanent register fault installs no hook: it holds the bit at its
+    flipped ("stuck") value through {!S4e_cpu.Machine.set_stuck}, which
+    compiles the force into the translated code, so the mutant keeps
+    the lowered engine.  Arm after loading the program and before
+    running. *)
 
 type armed
 
@@ -16,4 +18,5 @@ val arm : S4e_cpu.Machine.t -> Fault.t -> armed
     defense for hand-written fault lists. *)
 
 val disarm : S4e_cpu.Machine.t -> armed -> unit
-(** Removes hooks; memory flips are not undone (discard the machine). *)
+(** Removes the transient's hook or clears the stuck bit; memory flips
+    are not undone (discard the machine). *)

@@ -27,9 +27,6 @@ val to_string : t -> string
     point, so [parse (to_string v) = Ok v] for values built from the
     constructors above. *)
 
-val escape : string -> string
-(** The string-escaping used by {!to_string}, without the quotes. *)
-
 (** {1 Accessors}
 
     All return [None] on a shape mismatch, so protocol handlers can

@@ -48,7 +48,7 @@ let header_line h ~shard:(i, n) =
   Printf.sprintf
     "{\"s4e_journal\":1,\"seed\":%d,\"total\":%d,\"shard\":\"%d/%d\",\
      \"program\":\"%s\"}"
-    h.jh_seed h.jh_total i n (Json.escape h.jh_program)
+    h.jh_seed h.jh_total i n (S4e_obs.Trace_events.escape h.jh_program)
 
 (* indices in [0, total) congruent to shard (mod count) *)
 let expected_in_shard ~total ~count shard =

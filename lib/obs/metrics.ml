@@ -163,11 +163,13 @@ let to_json t =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\n";
   Buffer.add_string b
-    (Printf.sprintf "  %S: %d" "s4e_metrics_schema" schema_version);
+    (Printf.sprintf "  \"s4e_metrics_schema\": %d" schema_version);
   List.iter
     (fun (name, v) ->
       Buffer.add_string b ",\n";
-      Buffer.add_string b (Printf.sprintf "  %S: %s" name (string_of_value v)))
+      Buffer.add_string b
+        (Printf.sprintf "  \"%s\": %s" (Trace_events.escape name)
+           (string_of_value v)))
     (snapshot t);
   Buffer.add_string b "\n}\n";
   Buffer.contents b

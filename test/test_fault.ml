@@ -782,6 +782,59 @@ let test_triage_locates_divergence () =
   Alcotest.(check bool) "code flip is a memory diff" true
     t1.Campaign.tg_mem_diff
 
+(* A stuck-at bit is forced at the write itself, so triage names the
+   write it overrides — here the program's first instruction — and not
+   the instruction that consumes the register near the end. *)
+let stuck_src = {|
+_start:
+  li   s1, 115
+  li   a0, 0
+  li   a1, 1
+  li   a2, 20
+l:
+  add  a0, a0, a1
+  addi a1, a1, 1
+  blt  a1, a2, l
+  add  a0, a0, s1
+  li   t1, 0x00100000
+  sw   a0, 0(t1)
+  ebreak
+|}
+
+let test_triage_stuck_at_write () =
+  let p = S4e_asm.Assembler.assemble_exn stuck_src in
+  let golden, _ = Campaign.golden ~fuel:10_000 p in
+  (* s1 is 0 at reset, so bit 2 sticks at 1: the first write of 115
+     leaves 119 *)
+  let fault = { Fault.loc = Fault.Gpr (9, 2); kind = Fault.Permanent } in
+  let o = Campaign.run_one ~fuel:10_000 p ~golden fault in
+  Alcotest.(check string) "stuck s1 is an sdc" "sdc" (Campaign.outcome_name o);
+  match Campaign.triage ~fuel:10_000 p [ (0, fault, o) ] with
+  | [ t ] ->
+      let has sub =
+        let n = String.length sub and s = t.Campaign.tg_insn in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "diverged" true t.Campaign.tg_diverged;
+      Alcotest.(check int) "divergence at the first retired instruction" 1
+        t.Campaign.tg_instret;
+      Alcotest.(check int) "mutant stopped just past the write" 0x8000_0004
+        t.Campaign.tg_mutant_pc;
+      Alcotest.(check bool)
+        (Printf.sprintf "the overridden write is named (%s)" t.Campaign.tg_insn)
+        true
+        (has "pc=0x80000000" && has "x9=0x00000077");
+      Alcotest.(check bool) "s1 differs: 115 golden, 119 mutant" true
+        (List.exists
+           (fun d ->
+             d.Campaign.rd_name = "s1" && d.Campaign.rd_golden = 115
+             && d.Campaign.rd_mutant = 119)
+           t.Campaign.tg_reg_diffs)
+  | l -> Alcotest.failf "expected one triage record, got %d" (List.length l)
+
 let test_triage_flow_jsonl_and_top_sites () =
   let p = engine_program () in
   let cfg = flow_cfg ~seed:23 ~n:40 in
@@ -888,6 +941,8 @@ let () =
       ( "triage",
         [ Alcotest.test_case "locates first divergence" `Quick
             test_triage_locates_divergence;
+          Alcotest.test_case "stuck-at names the overridden write" `Quick
+            test_triage_stuck_at_write;
           Alcotest.test_case "flow + jsonl + top sites" `Quick
             test_triage_flow_jsonl_and_top_sites;
           Alcotest.test_case "deterministic" `Quick

@@ -10,7 +10,9 @@
    tests drive all engines over hand-written corner cases and random
    torture programs and compare.  A TLB-off variant of the default
    engine rides along so the same cases also pin down the bus's
-   software TLB (lib/mem/bus.ml). *)
+   software TLB (lib/mem/bus.ml).  The stuck-at group checks stuck
+   register bits compiled into translated code against a
+   per-instruction hook reference on every engine. *)
 
 module Machine = S4e_cpu.Machine
 module Torture = S4e_torture.Torture
@@ -496,6 +498,249 @@ dst:
   .space 64
 |}
 
+(* ---------------- stuck-at register bits ---------------- *)
+
+(* The reference model of a permanent register fault: a
+   per-instruction hook that re-forces the bit before every instruction
+   (and so keeps the run on the generic interpreter).  The compiled
+   force must be indistinguishable from it. *)
+let ref_force (st : S4e_cpu.Arch_state.t) (s : Machine.stuck) =
+  let set v = S4e_bits.Bits.set_bit s.Machine.sk_bit s.Machine.sk_value v in
+  match s.Machine.sk_file with
+  | Machine.Gpr ->
+      S4e_cpu.Arch_state.set_reg st s.Machine.sk_reg
+        (set (S4e_cpu.Arch_state.get_reg st s.Machine.sk_reg))
+  | Machine.Fpr ->
+      S4e_cpu.Arch_state.set_freg st s.Machine.sk_reg
+        (set (S4e_cpu.Arch_state.get_freg st s.Machine.sk_reg))
+
+type stuck_case = {
+  sc_file : Machine.reg_file;
+  sc_reg : int;
+  sc_bit : int;
+  sc_arm_at : int;  (** retired instructions before arming; 0 = at reset *)
+}
+
+let pp_case c =
+  Printf.sprintf "%s%d bit %d armed at %d"
+    (match c.sc_file with Machine.Gpr -> "x" | Machine.Fpr -> "f")
+    c.sc_reg c.sc_bit c.sc_arm_at
+
+let fault_of c =
+  { S4e_fault.Fault.loc =
+      (match c.sc_file with
+      | Machine.Gpr -> S4e_fault.Fault.Gpr (c.sc_reg, c.sc_bit)
+      | Machine.Fpr -> S4e_fault.Fault.Fpr (c.sc_reg, c.sc_bit));
+    kind = S4e_fault.Fault.Permanent }
+
+type stuck_outcome = { so : outcome; so_uart : string }
+
+(* Run [p] for [sc_arm_at] instructions, arm, and run to the end.  Both
+   sides are staged identically so block segmentation and interrupt
+   sampling line up.  [`Hook] is the reference; [`Injector] goes through
+   [Injector.arm] (a compiled stuck bit).  The reference's final state
+   gets the bit forced once more: the hook only re-forced before the
+   next instruction, so a write by the last one is still visible. *)
+let run_stuck ~via ~fuel config p c =
+  let m = Machine.create ~config () in
+  S4e_asm.Program.load_machine p m;
+  let first =
+    if c.sc_arm_at > 0 then Machine.run m ~fuel:c.sc_arm_at
+    else Machine.Out_of_fuel
+  in
+  let stop =
+    match first with
+    | Machine.Out_of_fuel -> (
+        let st = m.Machine.state in
+        let v =
+          match c.sc_file with
+          | Machine.Gpr -> S4e_cpu.Arch_state.get_reg st c.sc_reg
+          | Machine.Fpr -> S4e_cpu.Arch_state.get_freg st c.sc_reg
+        in
+        let s =
+          { Machine.sk_file = c.sc_file; sk_reg = c.sc_reg; sk_bit = c.sc_bit;
+            sk_value = S4e_bits.Bits.bit c.sc_bit v = 0 }
+        in
+        let rest = fuel - c.sc_arm_at in
+        match via with
+        | `Hook ->
+            let id =
+              S4e_cpu.Hooks.on_insn m.Machine.hooks (fun _ _ -> ref_force st s)
+            in
+            let stop = Machine.run m ~fuel:rest in
+            S4e_cpu.Hooks.unregister m.Machine.hooks id;
+            ref_force st s;
+            stop
+        | `Injector ->
+            let armed = S4e_fault.Injector.arm m (fault_of c) in
+            let stop = Machine.run m ~fuel:rest in
+            S4e_fault.Injector.disarm m armed;
+            stop
+        | `Plain -> Machine.run m ~fuel:rest)
+    | stop -> stop
+  in
+  { so = outcome_of m stop; so_uart = Machine.uart_output m }
+
+(* The first engine whose compiled stuck bit departs from the hook
+   reference, as a message. *)
+let stuck_mismatch ~fuel p c =
+  let reference = run_stuck ~via:`Hook ~fuel Machine.default_config p c in
+  List.find_map
+    (fun (name, config) ->
+      let o = run_stuck ~via:`Injector ~fuel config p c in
+      if o = reference then None
+      else
+        Some
+          (Printf.sprintf
+             "%s: %s differs from the hook reference (stop %s/%s, instret \
+              %d/%d, cycles %d/%d)"
+             (pp_case c) name o.so.o_stop reference.so.o_stop o.so.o_instret
+             reference.so.o_instret o.so.o_cycles reference.so.o_cycles))
+    engines
+
+let qcheck_ok = function
+  | None -> true
+  | Some msg -> QCheck.Test.fail_report msg
+
+(* Torture programs over RV32IMF+B so FPR faults hit live registers;
+   the arm point is at reset for a quarter of the cases, else mid-run. *)
+let stuck_gen =
+  let open QCheck.Gen in
+  let case =
+    int_bound 100_000 >>= fun seed ->
+    bool >>= fun fpr ->
+    (if fpr then int_bound 31 else int_range 1 31) >>= fun reg ->
+    int_bound 31 >>= fun bit ->
+    int_bound 2_500 >>= fun arm ->
+    return
+      ( seed,
+        { sc_file = (if fpr then Machine.Fpr else Machine.Gpr);
+          sc_reg = reg; sc_bit = bit;
+          sc_arm_at = (if arm < 500 then 0 else arm - 500) } )
+  in
+  QCheck.make
+    ~print:(fun (seed, c) -> Printf.sprintf "seed %d, %s" seed (pp_case c))
+    case
+
+let torture_f seed =
+  let cfg =
+    { Torture.default_config with
+      Torture.seed;
+      isa = [ S4e_isa.Isa_module.I; M; B; F ] }
+  in
+  (Torture.generate cfg, Torture.fuel_bound cfg)
+
+let stuck_torture_agrees (seed, c) =
+  let p, fuel = torture_f seed in
+  qcheck_ok (stuck_mismatch ~fuel p c)
+
+(* x0 is hardwired: a stuck bit there must leave every engine's run
+   identical to an unfaulted one. *)
+let stuck_x0_masked (seed, c) =
+  let p, fuel = torture_f seed in
+  let c = { c with sc_file = Machine.Gpr; sc_reg = 0 } in
+  let plain = run_stuck ~via:`Plain ~fuel Machine.default_config p c in
+  qcheck_ok
+    (List.find_map
+       (fun (name, config) ->
+         if run_stuck ~via:`Injector ~fuel config p c = plain then None
+         else
+           Some (Printf.sprintf "%s: stuck x0 changed the run on %s"
+                   (pp_case c) name))
+       engines)
+
+(* The F-using architectural and unit suites, with every FPR stuck (at
+   reset and a few instructions in) — the directed FPR coverage. *)
+let test_stuck_f_suites () =
+  let isa = Machine.default_config.Machine.isa in
+  let progs =
+    List.filter
+      (fun (name, _) -> name = "arch-F" || name = "unit-fpr-walk")
+      (S4e_torture.Suites.arch_suite ~isa @ S4e_torture.Suites.unit_suite ~isa)
+  in
+  Alcotest.(check int) "both F suites present" 2 (List.length progs);
+  List.iter
+    (fun (name, p) ->
+      for reg = 0 to 31 do
+        List.iter
+          (fun arm ->
+            let c =
+              { sc_file = Machine.Fpr; sc_reg = reg; sc_bit = (7 * reg) mod 32;
+                sc_arm_at = arm }
+            in
+            Option.iter
+              (Alcotest.failf "%s: %s" name)
+              (stuck_mismatch ~fuel:S4e_torture.Suites.fuel p c))
+          [ 0; 5 ]
+      done)
+    progs
+
+(* The force is applied at once and again whenever [restore] or
+   [reset] rewrite the registers; x0 is never forced; an out-of-range
+   register is rejected. *)
+let test_stuck_restore_reset () =
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine
+    (S4e_asm.Assembler.assemble_exn "_start:\n  ebreak\n") m;
+  let snap = Machine.snapshot m in
+  let reg r = S4e_cpu.Arch_state.get_reg m.Machine.state r in
+  let stuck r =
+    Some { Machine.sk_file = Machine.Gpr; sk_reg = r; sk_bit = 3; sk_value = true }
+  in
+  Machine.set_stuck m (stuck 9);
+  Alcotest.(check int) "forced at once" 8 (reg 9);
+  Machine.restore m snap;
+  Alcotest.(check int) "forced after restore" 8 (reg 9);
+  Machine.reset m ~pc:0x8000_0000;
+  Alcotest.(check int) "forced after reset" 8 (reg 9);
+  Machine.set_stuck m None;
+  Machine.restore m snap;
+  Alcotest.(check int) "cleared" 0 (reg 9);
+  Machine.set_stuck m (stuck 0);
+  Alcotest.(check int) "x0 is never forced" 0 m.Machine.state.S4e_cpu.Arch_state.regs.(0);
+  Alcotest.check_raises "register out of range"
+    (Invalid_argument "Machine.set_stuck: register or bit out of range")
+    (fun () -> Machine.set_stuck m (stuck 32))
+
+(* A loop hot enough for superblock promotion.  Arming must kill the
+   traces promoted so far and keep new ones from forming: trace
+   closures write registers without the force. *)
+let test_stuck_hot_loop () =
+  let p =
+    S4e_asm.Assembler.assemble_exn {|
+_start:
+  li   t0, 3000
+  li   s1, 0
+  li   s2, 0
+loop:
+  addi s1, s1, 1
+  xor  s2, s2, s1
+  slli t2, s2, 3
+  sltu t1, s1, t0
+  bnez t1, loop
+  add  a0, s2, t2
+  li   t6, 0x00100000
+  sw   a0, 0(t6)
+  ebreak
+|}
+  in
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine p m;
+  ignore (Machine.run m ~fuel:4_000 : Machine.stop_reason);
+  (match Machine.trace_stats m with
+  | Some st when st.S4e_cpu.Superblock.sb_promotions > 0 -> ()
+  | _ -> Alcotest.fail "the loop is not hot enough to promote a trace");
+  List.iter
+    (fun (reg, bit) ->
+      List.iter
+        (fun arm ->
+          let c =
+            { sc_file = Machine.Gpr; sc_reg = reg; sc_bit = bit; sc_arm_at = arm }
+          in
+          Option.iter Alcotest.fail (stuck_mismatch ~fuel:100_000 p c))
+        [ 0; 1_000; 4_000 ])
+    [ (9, 5); (18, 0); (18, 31); (7, 4); (6, 0) ]
+
 let props =
   [ prop "torture: engines agree" seed_gen (torture_agrees ~compress:false);
     prop ~count:15 "torture (compressed): engines agree" seed_gen
@@ -531,4 +776,15 @@ let () =
        Alcotest.test_case "smc kills running trace" `Quick
          test_smc_kills_running_trace
        :: sb_props);
+      ("stuck-at",
+       [ prop ~count:30 "torture: compiled stuck bit = hook reference"
+           stuck_gen stuck_torture_agrees;
+         prop ~count:15 "torture: stuck x0 is masked" stuck_gen
+           stuck_x0_masked;
+         Alcotest.test_case "F suites: compiled stuck FPR = hook reference"
+           `Quick test_stuck_f_suites;
+         Alcotest.test_case "hot loop: no trace reads past the force" `Quick
+           test_stuck_hot_loop;
+         Alcotest.test_case "restore and reset force again" `Quick
+           test_stuck_restore_reset ]);
       ("torture", props) ]

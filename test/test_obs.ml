@@ -111,6 +111,19 @@ let test_json_export () =
   check_infix "json" json "\"bad_probe\": 0";
   Alcotest.(check bool) "no nan literal" false (contains json ~affix:"nan")
 
+(* Keys go through the shared JSON escaper: a key with a quote, a
+   backslash, a newline and a raw control byte still exports a document
+   the strict fleet parser accepts, with the key intact. *)
+let test_json_export_escapes_keys () =
+  let t = Metrics.create () in
+  let key = "odd\"key\\with\nnewline\001" in
+  Metrics.add (Metrics.counter t key) 7;
+  match S4e_fleet.Json.parse (Metrics.to_json t) with
+  | Error e -> Alcotest.failf "metrics export is not JSON: %s" e
+  | Ok v ->
+      Alcotest.(check (option int)) "key intact" (Some 7)
+        (S4e_fleet.Json.mem_int key v)
+
 (* a registry counter is safe to bump from several domains at once *)
 let test_counter_cross_domain () =
   let t = Metrics.create () in
@@ -574,6 +587,8 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
           Alcotest.test_case "json export" `Quick test_json_export;
+          Alcotest.test_case "json export escapes keys" `Quick
+            test_json_export_escapes_keys;
           Alcotest.test_case "cross-domain counter" `Quick
             test_counter_cross_domain ] );
       ( "trace-events",
