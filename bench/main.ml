@@ -172,7 +172,7 @@ let e3 () =
       { Flows.default_fault_config with
         Flows.ff_mutants = 200; ff_fuel = 100_000; ff_blind = blind }
     in
-    (Flows.fault_flow cfg p).Flows.ff_summary
+    (Result.get_ok (Flows.fault_campaign cfg p)).Flows.ff_summary
   in
   let guided = run_campaign false and blind = run_campaign true in
   let effective (s : S4e_fault.Campaign.summary) =
@@ -892,7 +892,7 @@ let e13 () =
         let run config () =
           let m = Machine.create ~config () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           ignore (Machine.run m ~fuel);
           for _ = 2 to reps do
             Machine.reset m ~pc:entry;
@@ -906,7 +906,7 @@ let e13 () =
         let n =
           let m = Machine.create ~config:chained_cfg () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           let tot = ref 0 in
           ignore (Machine.run m ~fuel);
           tot := !tot + Machine.instret m;
@@ -923,7 +923,7 @@ let e13 () =
         let tc = time (fun () -> ignore (run chained_cfg ())) in
         (* chain hit rate over the same rep sequence *)
         let mc = run chained_cfg () in
-        let ts = S4e_cpu.Tb_cache.stats mc.Machine.tb in
+        let ts = Machine.tb_stats mc in
         let chained_hits = ts.S4e_cpu.Tb_cache.st_chain_hits in
         let dispatches =
           ts.S4e_cpu.Tb_cache.st_hits + ts.S4e_cpu.Tb_cache.st_misses
@@ -1008,7 +1008,7 @@ let e14 () =
         let m = Machine.create ~config:cfg () in
         instrument m;
         S4e_asm.Program.load_machine p m;
-        let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+        let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
         ignore (Machine.run m ~fuel);
         for _ = 2 to reps do
           Machine.reset m ~pc:entry;
@@ -1146,7 +1146,7 @@ let e15 () =
         let run config () =
           let m = Machine.create ~config () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           ignore (Machine.run m ~fuel);
           for _ = 2 to reps do
             Machine.reset m ~pc:entry;
@@ -1157,7 +1157,7 @@ let e15 () =
         let n =
           let m = Machine.create ~config:tlb_cfg () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           let tot = ref 0 in
           ignore (Machine.run m ~fuel);
           tot := !tot + Machine.instret m;
@@ -1270,7 +1270,7 @@ let e16 () =
         let run config () =
           let m = Machine.create ~config () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           ignore (Machine.run m ~fuel);
           for _ = 2 to reps do
             Machine.reset m ~pc:entry;
@@ -1281,7 +1281,7 @@ let e16 () =
         let n =
           let m = Machine.create ~config:on_cfg () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           let tot = ref 0 in
           ignore (Machine.run m ~fuel);
           tot := !tot + Machine.instret m;
@@ -1405,7 +1405,7 @@ let e17 () =
         let run () =
           let m = Machine.create ~config:on_cfg () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           ignore (Machine.run m ~fuel);
           for _ = 2 to reps do
             Machine.reset m ~pc:entry;
@@ -1458,7 +1458,7 @@ let e17 () =
         let run config () =
           let m = Machine.create ~config () in
           S4e_asm.Program.load_machine p m;
-          let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+          let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
           ignore (Machine.run m ~fuel);
           for _ = 2 to reps do
             Machine.reset m ~pc:entry;
@@ -1515,7 +1515,7 @@ let e18 () =
   let fuel = 1_000_000 in
   let cfg = Machine.default_config in
   (* min-of-5 wall clock, as in E14: the unarmed delta in particular is
-     a single pointer test per block dispatch *)
+     a single pointer test per lowered µop *)
   let time f =
     let once () =
       let t0 = Unix.gettimeofday () in
@@ -1548,7 +1548,7 @@ let e18 () =
         let m = Machine.create ~config:cfg () in
         instrument m;
         S4e_asm.Program.load_machine p m;
-        let entry = m.Machine.state.S4e_cpu.Arch_state.pc in
+        let entry = (Machine.state m).S4e_cpu.Arch_state.pc in
         ignore (Machine.run m ~fuel);
         for _ = 2 to reps do
           Machine.reset m ~pc:entry;
@@ -1587,7 +1587,7 @@ let e18 () =
         ~unit_:"%")
     programs;
   Printf.printf
-    "(unarmed runs pay one recorder-pointer test per block dispatch — \
+    "(unarmed runs pay one recorder-pointer test per lowered µop — \
      the plain column IS the unarmed fast path, gated against E13's \
      baseline by trend tracking; armed runs leave the superblock path \
      and capture pc/opcode/writeback/effective-address per retire, \
@@ -1782,7 +1782,7 @@ l:
   (* single-process references: one campaign per job, run back to back
      (that is what the fleet's 1-worker configuration competes with) *)
   let t0 = Unix.gettimeofday () in
-  let refs = List.map (fun seed -> (seed, Flows.fault_flow (cfg seed) p)) seeds in
+  let refs = List.map (fun seed -> (seed, Result.get_ok (Flows.fault_campaign (cfg seed) p))) seeds in
   let t_ref = Unix.gettimeofday () -. t0 in
   List.iter
     (fun (seed, r) ->

@@ -47,11 +47,34 @@ let jobs_arg =
            ~doc:"Worker domains to simulate with (default: the number of \
                  cores). Results are identical for every value.")
 
-let no_mem_tlb_arg =
-  Arg.(value & flag & info [ "no-mem-tlb" ]
-       ~doc:"Disable the bus's software TLB (direct page pointers for \
-             loads/stores/fetch). Observable behavior is identical; this \
-             is the escape hatch / benchmarking knob.")
+(* The engine knobs [run] and [torture] share, as one machine config. *)
+let config_term =
+  let no_mem_tlb =
+    Arg.(value & flag & info [ "no-mem-tlb" ]
+           ~doc:"Disable the bus's software TLB (direct page pointers for \
+                 loads/stores/fetch). Observable behavior is identical; \
+                 this is the escape hatch / benchmarking knob.")
+  in
+  let no_superblocks =
+    Arg.(value & flag & info [ "no-superblocks" ]
+           ~doc:"Disable superblock trace promotion (hot chained paths \
+                 recompiled into guarded cross-block traces). Observable \
+                 behavior is identical; this is the escape hatch / \
+                 benchmarking knob.")
+  in
+  let harts =
+    Arg.(value & opt int 1 & info [ "harts" ] ~docv:"N"
+           ~doc:"Number of harts. All harts start at the entry point; \
+                 software branches on mhartid. Scheduling is deterministic \
+                 round-robin over fuel slices.")
+  in
+  let config no_mem_tlb no_superblocks harts =
+    { S4e_cpu.Machine.default_config with
+      S4e_cpu.Machine.mem_tlb = not no_mem_tlb;
+      superblocks = not no_superblocks;
+      harts = max 1 harts }
+  in
+  Term.(const config $ no_mem_tlb $ no_superblocks $ harts)
 
 (* ---------------- run ---------------- *)
 
@@ -80,13 +103,6 @@ let run_cmd =
            ~doc:"Write a metrics-registry snapshot (JSON) to FILE after the \
                  run; '-' for stdout.")
   in
-  let no_superblocks_arg =
-    Arg.(value & flag & info [ "no-superblocks" ]
-           ~doc:"Disable superblock trace promotion (hot chained paths \
-                 recompiled into guarded cross-block traces). Observable \
-                 behavior is identical; this is the escape hatch / \
-                 benchmarking knob.")
-  in
   let trace_stats_arg =
     Arg.(value & flag & info [ "trace-stats" ]
            ~doc:"Report superblock trace statistics (promotions, \
@@ -108,21 +124,9 @@ let run_cmd =
                  --trace, recording keeps the lowered fast path and never \
                  changes the run's outcome.")
   in
-  let harts_arg =
-    Arg.(value & opt int 1 & info [ "harts" ] ~docv:"N"
-           ~doc:"Number of harts. All harts start at the entry point; \
-                 software branches on mhartid. Scheduling is deterministic \
-                 round-robin over fuel slices.")
-  in
-  let action file fuel trace input cache_stats profile metrics no_mem_tlb
-      no_superblocks trace_stats trace_events record harts =
+  let action file fuel trace input cache_stats profile metrics config
+      trace_stats trace_events record =
     let p = assemble_file file in
-    let config =
-      { S4e_cpu.Machine.default_config with
-        S4e_cpu.Machine.mem_tlb = not no_mem_tlb;
-        superblocks = not no_superblocks;
-        harts = max 1 harts }
-    in
     let m = S4e_cpu.Machine.create ~config () in
     let tracer =
       Option.map
@@ -203,14 +207,14 @@ let run_cmd =
         in
         pr "icache" (S4e_cpu.Cache_model.icache_stats c);
         pr "dcache" (S4e_cpu.Cache_model.dcache_stats c);
-        let ts = S4e_cpu.Tb_cache.stats m.S4e_cpu.Machine.tb in
+        let ts = S4e_cpu.Machine.tb_stats m in
         Format.printf
           "tb cache: %d blocks, %d hits, %d misses, %d chain hits, %d \
            invalidations@."
           ts.S4e_cpu.Tb_cache.st_blocks ts.S4e_cpu.Tb_cache.st_hits
           ts.S4e_cpu.Tb_cache.st_misses ts.S4e_cpu.Tb_cache.st_chain_hits
           ts.S4e_cpu.Tb_cache.st_invalidations;
-        (match S4e_cpu.Tb_cache.hot_edges m.S4e_cpu.Machine.tb with
+        (match S4e_cpu.Machine.hot_edges m with
         | [] -> ()
         | edges ->
             Format.printf "hot chain edges:@.";
@@ -290,9 +294,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Assemble and execute a program on the virtual prototype.")
     Term.(const action $ file_arg $ fuel_arg $ trace_arg $ input_arg
-          $ cache_arg $ profile_arg $ metrics_arg $ no_mem_tlb_arg
-          $ no_superblocks_arg $ trace_stats_arg $ trace_events_arg
-          $ record_arg $ harts_arg)
+          $ cache_arg $ profile_arg $ metrics_arg $ config_term
+          $ trace_stats_arg $ trace_events_arg $ record_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -1332,10 +1335,6 @@ let torture_cmd =
            ~doc:"Generate and run N programs with seeds SEED..SEED+N-1 \
                  (domain-parallel with --jobs).")
   in
-  let no_sb_arg =
-    Arg.(value & flag & info [ "no-superblocks" ]
-           ~doc:"Disable superblock trace promotion for the runs.")
-  in
   let device_plane_arg =
     Arg.(value & flag & info [ "device-plane" ]
            ~doc:"Arm the deterministic device-traffic rig (vnet generator \
@@ -1344,17 +1343,9 @@ let torture_cmd =
                  line. The summary is engine-independent: it must match \
                  across --no-mem-tlb / --no-superblocks.")
   in
-  let harts_arg =
-    Arg.(value & opt int 1 & info [ "harts" ] ~docv:"N"
-           ~doc:"With N > 1, run the deterministic SMP workloads (spinlock \
-                 and IPI ring, lib/torture/smp.ml) on an N-hart machine \
-                 instead of random programs, and print each final state \
-                 digest. The digests are engine-independent: they must \
-                 match across --no-mem-tlb / --no-superblocks.")
-  in
-  let action seed segments compress out count jobs no_mem_tlb no_sb dev harts =
-    let mem_tlb = not no_mem_tlb in
-    let superblocks = not no_sb in
+  let action seed segments compress out count jobs
+      (config : S4e_cpu.Machine.config) dev =
+    let harts = config.S4e_cpu.Machine.harts in
     let cfg_of seed =
       { S4e_torture.Torture.default_config with
         S4e_torture.Torture.seed; segments; compress }
@@ -1367,10 +1358,6 @@ let torture_cmd =
       let rounds = 8 in
       List.iter
         (fun (name, p) ->
-          let config =
-            { S4e_cpu.Machine.default_config with
-              S4e_cpu.Machine.mem_tlb; superblocks; harts }
-          in
           let m = S4e_cpu.Machine.create ~config () in
           S4e_asm.Program.load_machine p m;
           let stop =
@@ -1389,7 +1376,7 @@ let torture_cmd =
       | Some path -> S4e_asm.Program.save p path
       | None -> ());
       let r =
-        S4e_core.Flows.run ~mem_tlb ~superblocks ~device_traffic:dev
+        S4e_core.Flows.run ~config ~device_traffic:dev
           ~fuel:(S4e_torture.Torture.fuel_bound cfg) p
       in
       Format.printf "torture seed=%d: %a; %d instructions%a@." seed
@@ -1404,8 +1391,8 @@ let torture_cmd =
             (string_of_int s, S4e_torture.Torture.generate (cfg_of s)))
       in
       let results =
-        S4e_core.Flows.run_suite ~mem_tlb ~superblocks ~device_traffic:dev
-          ~fuel ~jobs suite
+        S4e_core.Flows.run_suite ~config ~device_traffic:dev ~fuel ~jobs
+          suite
       in
       List.iter
         (fun (name, r) ->
@@ -1415,11 +1402,18 @@ let torture_cmd =
         results
     end
   in
+  let man =
+    [ `S Manpage.s_description;
+      `P "With $(b,--harts) N > 1, run the deterministic SMP workloads \
+          (spinlock and IPI ring, lib/torture/smp.ml) on an N-hart machine \
+          instead of random programs, and print each final state digest. \
+          The digests are engine-independent: they must match across \
+          $(b,--no-mem-tlb) / $(b,--no-superblocks)." ]
+  in
   Cmd.v
-    (Cmd.info "torture" ~doc:"Generate and run random test programs.")
+    (Cmd.info "torture" ~doc:"Generate and run random test programs." ~man)
     Term.(const action $ seed_arg $ segments_arg $ compress_arg $ out_arg
-          $ count_arg $ jobs_arg $ no_mem_tlb_arg $ no_sb_arg
-          $ device_plane_arg $ harts_arg)
+          $ count_arg $ jobs_arg $ config_term $ device_plane_arg)
 
 (* ---------------- bmi ---------------- *)
 

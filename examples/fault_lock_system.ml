@@ -103,7 +103,7 @@ let () =
     { S4e_core.Flows.default_fault_config with
       S4e_core.Flows.ff_mutants = 150; ff_fuel = 100_000 }
   in
-  let r = S4e_core.Flows.fault_flow cfg program in
+  let r = Result.get_ok (S4e_core.Flows.fault_campaign cfg program) in
   Format.printf "%a@." S4e_fault.Campaign.pp_summary r.S4e_core.Flows.ff_summary;
   let sdc =
     List.filter

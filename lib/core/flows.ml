@@ -69,25 +69,7 @@ let device_summary m =
     dm.S4e_soc.Dma.dma_bytes ws.S4e_soc.Event_wheel.ws_fired
     (String.sub (Digest.to_hex (Machine.state_digest m)) 0 12)
 
-(* [?mem_tlb] / [?superblocks] / [?harts] override single config knobs
-   without the caller having to spell out a whole config record (the
-   CLI's --no-mem-tlb / --no-superblocks / --harts flags). *)
-let apply_knob knob set config =
-  match knob with
-  | None -> config
-  | Some v ->
-      let base = Option.value config ~default:Machine.default_config in
-      Some (set base v)
-
-let apply_knobs ?harts ?hart_slice mem_tlb superblocks config =
-  apply_knob mem_tlb (fun c on -> { c with Machine.mem_tlb = on }) config
-  |> apply_knob superblocks (fun c on -> { c with Machine.superblocks = on })
-  |> apply_knob harts (fun c n -> { c with Machine.harts = n })
-  |> apply_knob hart_slice (fun c n -> { c with Machine.hart_slice = n })
-
-let run ?config ?mem_tlb ?superblocks ?harts ?hart_slice
-    ?(device_traffic = false) ?record ?(fuel = default_fuel) p =
-  let config = apply_knobs ?harts ?hart_slice mem_tlb superblocks config in
+let run ?config ?(device_traffic = false) ?record ?(fuel = default_fuel) p =
   let m = Machine.create ?config () in
   Program.load_machine p m;
   if device_traffic then arm_device_rig m;
@@ -125,14 +107,11 @@ let coverage_of_suite ?config ?(fuel = default_fuel) ?(jobs = 1) suite =
   let reports =
     if jobs <= 1 || List.length suite <= 1 then
       List.map (fun (_, p) -> coverage_of_program ?config ~fuel p) suite
-    else begin
-      (* force the shared decoder tables before domains race on them *)
-      ignore (Machine.create ?config () : Machine.t);
+    else
       S4e_par.Par_pool.with_pool ~jobs (fun pool ->
           S4e_par.Par_pool.map_chunked ~chunk:1 pool
             (fun (_, p) -> coverage_of_program ?config ~fuel p)
             suite)
-    end
   in
   (* [map_chunked] preserves input order, so the combine below folds the
      suite in the same order regardless of [jobs] *)
@@ -140,19 +119,15 @@ let coverage_of_suite ?config ?(fuel = default_fuel) ?(jobs = 1) suite =
     (S4e_coverage.Report.create ~isa)
     reports
 
-let run_suite ?config ?mem_tlb ?superblocks ?device_traffic ?fuel
-    ?(jobs = 1) suite =
-  let config = apply_knobs mem_tlb superblocks config in
+let run_suite ?config ?device_traffic ?fuel ?(jobs = 1) suite =
   if jobs <= 1 || List.length suite <= 1 then
     List.map (fun (name, p) -> (name, run ?config ?device_traffic ?fuel p))
       suite
-  else begin
-    ignore (Machine.create ?config () : Machine.t);
+  else
     S4e_par.Par_pool.with_pool ~jobs (fun pool ->
         S4e_par.Par_pool.map_chunked ~chunk:1 pool
           (fun (name, p) -> (name, run ?config ?device_traffic ?fuel p))
           suite)
-  end
 
 type wcet_result = {
   wr_static : int;
@@ -399,12 +374,6 @@ let fault_campaign ?config ?jobs ?metrics ?trace ?(progress = false) ?journal
       ff_golden = golden;
       ff_resumed = resumed;
       ff_complete = List.length all = List.length scoped }
-
-let fault_flow ?config ?jobs ?metrics ?trace ?progress cfg p =
-  (* without journal/resume/shard options the campaign cannot fail *)
-  match fault_campaign ?config ?jobs ?metrics ?trace ?progress cfg p with
-  | Ok r -> r
-  | Error e -> failwith e
 
 let fault_triage ?config ?sample ?tail cfg p (r : fault_flow_result) =
   (* triage mutants with the same per-mutant budget the campaign used,

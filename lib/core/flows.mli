@@ -23,16 +23,12 @@ type run_result = {
 }
 
 val run :
-  ?config:S4e_cpu.Machine.config -> ?mem_tlb:bool -> ?superblocks:bool ->
-  ?harts:int -> ?hart_slice:int -> ?device_traffic:bool -> ?record:int ->
+  ?config:S4e_cpu.Machine.config -> ?device_traffic:bool -> ?record:int ->
   ?fuel:int -> S4e_asm.Program.t -> run_result
-(** Default fuel: 10 million instructions.  [mem_tlb], [superblocks],
-    [harts], and [hart_slice] override the corresponding config knobs
-    (see {!S4e_cpu.Machine.config}) without the caller having to build
-    a config record.  [device_traffic] (default false) arms
-    {!arm_device_rig} before running, and fills [rr_dev] with a
-    deterministic device/digest summary afterwards.  [record] arms a
-    {!S4e_obs.Flight_recorder} of that capacity (returned in
+(** Default fuel: 10 million instructions.  [device_traffic] (default
+    false) arms {!arm_device_rig} before running, and fills [rr_dev]
+    with a deterministic device/digest summary afterwards.  [record]
+    arms a {!S4e_obs.Flight_recorder} of that capacity (returned in
     [rr_recorder]) — recording never changes the run's outcome. *)
 
 val arm_device_rig : ?seed:int -> S4e_cpu.Machine.t -> unit
@@ -59,16 +55,13 @@ val coverage_of_suite :
 
 val run_suite :
   ?config:S4e_cpu.Machine.config ->
-  ?mem_tlb:bool ->
-  ?superblocks:bool ->
   ?device_traffic:bool ->
   ?fuel:int ->
   ?jobs:int ->
   (string * S4e_asm.Program.t) list ->
   (string * run_result) list
 (** [run] over a whole suite, optionally domain-parallel; results keep
-    suite order.  [mem_tlb], [superblocks] and [device_traffic] as in
-    {!run}. *)
+    suite order.  [device_traffic] as in {!run}. *)
 
 (** {1 WCET (the QTA flow)} *)
 
@@ -155,7 +148,18 @@ val fault_campaign :
   fault_flow_config ->
   S4e_asm.Program.t ->
   (fault_flow_result, string) result
-(** {!fault_flow} plus crash tolerance:
+(** Runs the golden program, generates the fault list and classifies
+    every mutant.
+
+    [jobs] overrides [cfg.ff_engine.eng_jobs]; outcomes are identical
+    for every [jobs] value and unaffected by any telemetry option.
+    [metrics]/[trace] are forwarded to {!S4e_fault.Campaign.run} (the
+    flow adds [golden+coverage], [generate], and [campaign] spans
+    around the campaign's own events).  [progress] (default off) prints
+    a live [done/total  mutants/sec  eta] meter to stderr, updated at
+    most four times a second.
+
+    The remaining options add crash tolerance:
 
     - [journal] records every classified mutant to a fresh JSONL
       journal ({!S4e_fault.Journal}) as the campaign runs.
@@ -181,24 +185,8 @@ val fault_campaign :
       (valid, resumable) result with [ff_complete = false].
 
     Errors are user errors (unreadable or mismatched journal, bad
-    shard), never partial states: the journal on disk stays valid. *)
-
-val fault_flow :
-  ?config:S4e_cpu.Machine.config ->
-  ?jobs:int ->
-  ?metrics:S4e_obs.Metrics.t ->
-  ?trace:S4e_obs.Trace_events.t ->
-  ?progress:bool ->
-  fault_flow_config ->
-  S4e_asm.Program.t ->
-  fault_flow_result
-(** [jobs] overrides [cfg.ff_engine.eng_jobs]; outcomes are identical
-    for every [jobs] value and unaffected by any telemetry option.
-    [metrics]/[trace] are forwarded to {!S4e_fault.Campaign.run} (the
-    flow adds [golden+coverage], [generate], and [campaign] spans
-    around the campaign's own events).  [progress] (default off) prints
-    a live [done/total  mutants/sec  eta] meter to stderr, updated at
-    most four times a second. *)
+    shard), never partial states: the journal on disk stays valid.
+    Without [journal], [resume] and [shard] the campaign cannot fail. *)
 
 val fault_triage :
   ?config:S4e_cpu.Machine.config ->

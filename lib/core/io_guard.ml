@@ -46,7 +46,7 @@ let attach (m : S4e_cpu.Machine.t) policies =
           | Restrict_all -> true
           | Restrict_writes -> a.S4e_mem.Bus.io_is_write
         in
-        let pc = m.S4e_cpu.Machine.state.S4e_cpu.Arch_state.pc in
+        let pc = (S4e_cpu.Machine.state m).S4e_cpu.Arch_state.pc in
         let ok =
           (not restricted)
           || List.exists (fun (lo, hi) -> pc >= lo && pc < hi) allowed

@@ -77,20 +77,20 @@ type hart = {
   hx_id : int;
   hx_state : Arch_state.t;
   hx_tb : Tb_cache.t;
-  mutable hx_lower : Lower.ctx;
+  hx_lower : Lower.ctx;
   mutable hx_sb : Superblock.t option;
   mutable hx_llm : int;
-      (* saved load-use hazard window while the hart is descheduled *)
+      (* load-use hazard window: the destination of the hart's previous
+         instruction when it was a load, as a {!Instr.source_mask}-encoded
+         bitmask (0 = no hazard window).  Persists across [run] calls so
+         a run split by snapshot/resume or by the scheduler charges the
+         same stalls as one uninterrupted run. *)
   mutable hx_parked : bool;
       (* parked in WFI (pc already past it); the scheduler wakes the
          hart when an enabled interrupt becomes pending *)
 }
 
 type t = {
-  (* [state]/[tb]/[lower_ctx]/[sb]/[last_load_mask] alias the current
-     hart's fields ([harts.(cur)]); [switch_to] keeps them in sync.  On
-     a single-hart machine they are constant, as before the SMP work. *)
-  mutable state : Arch_state.t;
   bus : Bus.t;
   uart : Soc.Uart.t;
   clint : Soc.Clint.t;
@@ -103,19 +103,14 @@ type t = {
   hooks : Hooks.t;
   config : config;
   decode32 : word -> Instr.t option;
-  mutable tb : Tb_cache.t;
-  mutable last_load_mask : int;
   pending_ticks : int ref;
   seg_idx : int ref;
   seg_base : int ref;
   fuel_left : int ref;
   exit_dirty : bool ref;
-  mutable lower_ctx : Lower.ctx;
-  mutable sb : Superblock.t option;
-      (* superblock trace engine; [None] when disabled by config *)
   harts : hart array;
   mutable cur : int;
-      (* index of the hart the alias fields track *)
+      (* index of the hart [run] last scheduled (the one [state] reads) *)
   mutable rr : int;
       (* round-robin scheduling pointer: next hart to consider.
          Persists across [run] calls so staged-fuel runs interleave
@@ -189,58 +184,63 @@ let mip_bits t hid =
 (* Level-sampled mip from the interrupt sources: the CLINT compares
    (recomputed eagerly — mtimecmp may move in either direction) and the
    wheel's aggregated device lines as MEIP. *)
-let compute_mip t = t.state.mip <- mip_bits t t.cur
+let compute_mip t h = h.hx_state.Arch_state.mip <- mip_bits t h.hx_id
 
 (* Interrupt sampling point (block boundaries, wfi): consult the
    wheel's single [next_deadline] word, run any due device events —
    after draining batched cycles, so devices observe exact time — then
-   recompute mip.  An idle device plane costs one compare here, so the
-   whole sample is one pass over the already-loaded CLINT fields
-   (batched cycles are always drained before a boundary, making [now]
-   the exact mtime). *)
-let update_mip t =
-  let clint = t.clint in
+   recompute the hart's mip.  An idle device plane costs one compare
+   here, so the whole sample is one pass over the already-loaded CLINT
+   fields (batched cycles are always drained before a boundary, making
+   [now] the exact mtime).  Returns whether device events fired. *)
+let update_mip t h =
+  let clint = t.clint and hid = h.hx_id in
   let now = Soc.Clint.time clint + !(t.pending_ticks) in
   let mip = ref 0 in
-  if t.config.device_plane then begin
+  let fired =
+    t.config.device_plane
+    &&
     let w = t.wheel in
-    if now >= Soc.Event_wheel.next_deadline w then begin
-      t.lower_ctx.Lower.lx_flush_time ();
+    let due = now >= Soc.Event_wheel.next_deadline w in
+    if due then begin
+      h.hx_lower.Lower.lx_flush_time ();
       Soc.Event_wheel.run_due w ~now;
       match t.recorder with
       | Some r ->
           S4e_obs.Flight_recorder.event r S4e_obs.Flight_recorder.Dev
-            ~pc:t.state.pc ~info:(Soc.Event_wheel.irq_pending w)
+            ~pc:h.hx_state.Arch_state.pc ~info:(Soc.Event_wheel.irq_pending w)
       | None -> ()
     end
     else Soc.Event_wheel.note_idle_skip w;
-    if meip_now t t.cur then mip := !mip lor meip_bit
-  end;
-  if now >= Soc.Clint.timecmp ~hart:t.cur clint then mip := !mip lor mtip_bit;
-  if Soc.Clint.software_pending ~hart:t.cur clint then
-    mip := !mip lor msip_bit;
-  t.state.mip <- !mip
+    if meip_now t hid then mip := !mip lor meip_bit;
+    due
+  in
+  if now >= Soc.Clint.timecmp ~hart:hid clint then mip := !mip lor mtip_bit;
+  if Soc.Clint.software_pending ~hart:hid clint then mip := !mip lor msip_bit;
+  h.hx_state.Arch_state.mip <- !mip;
+  fired
 
 (* Trap entry.  Returns [Some stop] when the trap is fatal (no handler
    installed). *)
-let enter_exception t cause pc =
+let enter_exception t h cause pc =
   Hooks.fire_trap t.hooks cause pc;
   (match t.recorder with
   | Some r ->
       S4e_obs.Flight_recorder.event r S4e_obs.Flight_recorder.Trap ~pc
         ~info:(Trap.mcause_of_exception cause)
   | None -> ());
-  if t.state.mtvec = 0 then Some (Fatal_trap (cause, pc))
+  let st = h.hx_state in
+  if st.mtvec = 0 then Some (Fatal_trap (cause, pc))
   else begin
-    t.state.mepc <- pc;
-    t.state.mcause <- Trap.mcause_of_exception cause;
-    t.state.mtval <- Trap.tval_of cause;
-    Arch_state.set_mpie_bit t.state (Arch_state.mie_bit t.state);
-    Arch_state.set_mie_bit t.state false;
+    st.mepc <- pc;
+    st.mcause <- Trap.mcause_of_exception cause;
+    st.mtval <- Trap.tval_of cause;
+    Arch_state.set_mpie_bit st (Arch_state.mie_bit st);
+    Arch_state.set_mie_bit st false;
     (* trap entry invalidates any LR reservation: the handler's stores
        must not let a later SC pair with a pre-trap LR *)
-    t.state.reservation <- None;
-    t.state.pc <- t.state.mtvec;
+    st.reservation <- None;
+    st.pc <- st.mtvec;
     None
   end
 
@@ -384,21 +384,17 @@ let create ?(config = default_config) () =
   in
   let harts = Array.init nharts mk_hart in
   harts_cell := harts;
-  let h0 = harts.(0) in
   let m =
-    { state = h0.hx_state; bus; uart; clint; gpio; syscon; wheel; dma; vnet;
-      plic; hooks = Hooks.create (); config; decode32; tb = h0.hx_tb;
-      last_load_mask = 0; pending_ticks; seg_idx; seg_base; fuel_left;
-      exit_dirty; lower_ctx = h0.hx_lower; sb = None; harts; cur = 0;
-      rr = 0; profiler = None; recorder = None; watchpoints = [||];
+    { bus; uart; clint; gpio; syscon; wheel; dma; vnet; plic;
+      hooks = Hooks.create (); config; decode32; pending_ticks; seg_idx;
+      seg_base; fuel_left; exit_dirty; harts; cur = 0; rr = 0;
+      profiler = None; recorder = None; watchpoints = [||];
       watch_trace = None }
   in
   (* The superblock engine only runs where the lowered+chained engine
      runs (chain-edge heat drives promotion), so don't even install the
      invalidation hooks elsewhere.  Each hart gets its own trace engine
-     over its own TB cache; the closures below only execute while their
-     hart is current, so the [m.last_load_mask] alias is always
-     theirs. *)
+     over its own TB cache, bound to the hart's hazard window. *)
   if config.superblocks && config.use_tb_cache && config.lower_blocks then begin
     let timing = config.timing in
     Array.iter
@@ -430,10 +426,10 @@ let create ?(config = default_config) () =
                    retires), charge system cycles, retire it, re-check
                    the exit latch *)
                 flush_cycles ();
-                m.last_load_mask <- 0;
+                h.hx_llm <- 0;
                 state.Arch_state.instret <- state.Arch_state.instret + pred;
                 fuel_left := !fuel_left - pred;
-                (match enter_exception m cause pc with
+                (match enter_exception m h cause pc with
                 | Some stop -> raise (Stop stop)
                 | None ->
                     state.Arch_state.cycle <-
@@ -448,62 +444,24 @@ let create ?(config = default_config) () =
                 end);
             sx_irq =
               (fun () ->
-                (* the dispatch loop's between-block [update_mip] +
-                   deliverability test, with the batched-but-unapplied
-                   cycles folded into the timer comparison so the
-                   sampled mip matches a per-block flushing run
-                   exactly.  When device events fire the trace bails
-                   even without a deliverable interrupt: an event may
-                   have invalidated a member of the very trace being
-                   executed (DMA into code), and only a bail
+                (* the dispatch loop's between-block sample and
+                   deliverability test.  When device events fire the
+                   trace bails even without a deliverable interrupt: an
+                   event may have invalidated a member of the very trace
+                   being executed (DMA into code), and only a bail
                    re-establishes exact state and retranslates. *)
-                let now = Soc.Clint.time clint + !pending_ticks in
-                let fired =
-                  config.device_plane
-                  && now >= Soc.Event_wheel.next_deadline wheel
-                  && begin
-                       flush_cycles ();
-                       Soc.Event_wheel.run_due wheel ~now;
-                       true
-                     end
-                in
-                if config.device_plane && not fired then
-                  Soc.Event_wheel.note_idle_skip wheel;
-                let mip = ref 0 in
-                if now >= Soc.Clint.timecmp ~hart:h.hx_id clint then
-                  mip := !mip lor mtip_bit;
-                if Soc.Clint.software_pending ~hart:h.hx_id clint then
-                  mip := !mip lor msip_bit;
-                if meip_now m h.hx_id then mip := !mip lor meip_bit;
-                state.Arch_state.mip <- !mip;
-                fired
+                update_mip m h
                 || Arch_state.mie_bit state
-                   && state.Arch_state.mie land !mip <> 0);
+                   && state.Arch_state.mie land state.Arch_state.mip <> 0);
             sx_notify_store = h.hx_lower.Lower.lx_notify_store;
-            sx_get_llm = (fun () -> m.last_load_mask);
-            sx_set_llm = (fun v -> m.last_load_mask <- v);
+            sx_get_llm = (fun () -> h.hx_llm);
+            sx_set_llm = (fun v -> h.hx_llm <- v);
             sx_dev_limit = Soc.Memory_map.ram_base }
         in
         h.hx_sb <- Some (Superblock.create sx h.hx_tb))
-      harts;
-    m.sb <- h0.hx_sb
+      harts
   end;
   m
-
-(* Point the alias fields at hart [i], saving the outgoing hart's
-   hazard window.  Only legal at block boundaries with the batching
-   refs drained (the scheduler's rotation points). *)
-let switch_to t i =
-  if i <> t.cur then begin
-    t.harts.(t.cur).hx_llm <- t.last_load_mask;
-    let h = t.harts.(i) in
-    t.cur <- i;
-    t.state <- h.hx_state;
-    t.tb <- h.hx_tb;
-    t.lower_ctx <- h.hx_lower;
-    t.sb <- h.hx_sb;
-    t.last_load_mask <- h.hx_llm
-  end
 
 let set_profiler t p = t.profiler <- p
 let profiler t = t.profiler
@@ -512,19 +470,67 @@ let recorder t = t.recorder
 let set_watchpoints t wps = t.watchpoints <- Array.of_list wps
 let watchpoints t = Array.to_list t.watchpoints
 let set_watch_trace t tr = t.watch_trace <- tr
-let trace_stats t = Option.map Superblock.stats t.sb
+let state t = t.harts.(t.cur).hx_state
+
+(* Counters and engine telemetry sum over every hart (a one-hart
+   machine reports its hart's own counters). *)
+let sum_harts t f = Array.fold_left (fun a h -> a + f h) 0 t.harts
+let instret t = sum_harts t (fun h -> h.hx_state.Arch_state.instret)
+let cycles t = sum_harts t (fun h -> h.hx_state.Arch_state.cycle)
+
+let tb_stats t =
+  let sum f = sum_harts t (fun h -> f (Tb_cache.stats h.hx_tb)) in
+  { Tb_cache.st_blocks = sum (fun s -> s.Tb_cache.st_blocks);
+    st_hits = sum (fun s -> s.Tb_cache.st_hits);
+    st_misses = sum (fun s -> s.Tb_cache.st_misses);
+    st_chain_hits = sum (fun s -> s.Tb_cache.st_chain_hits);
+    st_invalidations = sum (fun s -> s.Tb_cache.st_invalidations) }
+
+let trace_stats t =
+  if Option.is_none t.harts.(0).hx_sb then None
+  else
+    let sum f =
+      sum_harts t (fun h ->
+          match h.hx_sb with Some s -> f (Superblock.stats s) | None -> 0)
+    in
+    Some
+      { Superblock.sb_live = sum (fun s -> s.Superblock.sb_live);
+        sb_promotions = sum (fun s -> s.Superblock.sb_promotions);
+        sb_invalidations = sum (fun s -> s.Superblock.sb_invalidations);
+        sb_execs = sum (fun s -> s.Superblock.sb_execs);
+        sb_completions = sum (fun s -> s.Superblock.sb_completions);
+        sb_instrs = sum (fun s -> s.Superblock.sb_instrs);
+        sb_bail_guard = sum (fun s -> s.Superblock.sb_bail_guard);
+        sb_bail_irq = sum (fun s -> s.Superblock.sb_bail_irq);
+        sb_bail_dead = sum (fun s -> s.Superblock.sb_bail_dead);
+        sb_bail_trap = sum (fun s -> s.Superblock.sb_bail_trap) }
+
+(* Every hart's chain edges, traversals summed per edge, in
+   [Tb_cache.hot_edges] order. *)
+let hot_edges t =
+  let acc = Hashtbl.create 64 in
+  Array.iter
+    (fun h ->
+      List.iter
+        (fun (src, dst, n) ->
+          let prev = Option.value (Hashtbl.find_opt acc (src, dst)) ~default:0 in
+          Hashtbl.replace acc (src, dst) (prev + n))
+        (Tb_cache.hot_edges h.hx_tb))
+    t.harts;
+  Hashtbl.fold (fun (src, dst) n l -> (src, dst, n) :: l) acc []
+  |> List.sort (fun (sa, da, ha) (sb, db, hb) ->
+         match compare hb ha with 0 -> compare (sa, da) (sb, db) | c -> c)
 
 let register_metrics ?(prefix = "machine.") t reg =
   let g name f = S4e_obs.Metrics.gauge_int reg (prefix ^ name) f in
-  let sum f () = Array.fold_left (fun a h -> a + f h) 0 t.harts in
-  g "instret" (sum (fun h -> h.hx_state.Arch_state.instret));
-  g "cycles" (sum (fun h -> h.hx_state.Arch_state.cycle));
-  g "tb.blocks" (fun () -> (Tb_cache.stats t.tb).Tb_cache.st_blocks);
-  g "tb.hits" (fun () -> (Tb_cache.stats t.tb).Tb_cache.st_hits);
-  g "tb.misses" (fun () -> (Tb_cache.stats t.tb).Tb_cache.st_misses);
-  g "tb.chain_hits" (fun () -> (Tb_cache.stats t.tb).Tb_cache.st_chain_hits);
-  g "tb.invalidations" (fun () ->
-      (Tb_cache.stats t.tb).Tb_cache.st_invalidations);
+  g "instret" (fun () -> instret t);
+  g "cycles" (fun () -> cycles t);
+  let tb f () = f (tb_stats t) in
+  g "tb.blocks" (tb (fun s -> s.Tb_cache.st_blocks));
+  g "tb.hits" (tb (fun s -> s.Tb_cache.st_hits));
+  g "tb.misses" (tb (fun s -> s.Tb_cache.st_misses));
+  g "tb.chain_hits" (tb (fun s -> s.Tb_cache.st_chain_hits));
+  g "tb.invalidations" (tb (fun s -> s.Tb_cache.st_invalidations));
   g "mem.tlb_hits" (fun () -> (Bus.tlb_stats t.bus).Bus.tlb_hits);
   g "mem.tlb_misses" (fun () -> (Bus.tlb_stats t.bus).Bus.tlb_misses);
   g "mem.tlb_flushes" (fun () -> (Bus.tlb_stats t.bus).Bus.tlb_flushes);
@@ -541,17 +547,15 @@ let register_metrics ?(prefix = "machine.") t reg =
   g "vnet.rx_dropped" (fun () ->
       (Soc.Vnet.stats t.vnet).Soc.Vnet.vn_rx_dropped);
   g "vnet.tx_sent" (fun () -> (Soc.Vnet.stats t.vnet).Soc.Vnet.vn_tx_sent);
-  match t.sb with
-  | Some s ->
-      g "sb.traces" (fun () -> (Superblock.stats s).Superblock.sb_live);
-      g "sb.promotions" (fun () -> (Superblock.stats s).Superblock.sb_promotions);
-      g "sb.invalidations" (fun () ->
-          (Superblock.stats s).Superblock.sb_invalidations);
-      g "sb.execs" (fun () -> (Superblock.stats s).Superblock.sb_execs);
-      g "sb.completions" (fun () ->
-          (Superblock.stats s).Superblock.sb_completions);
-      g "sb.instrs" (fun () -> (Superblock.stats s).Superblock.sb_instrs)
-  | None -> ()
+  if Option.is_some t.harts.(0).hx_sb then begin
+    let sb f () = Option.fold (trace_stats t) ~none:0 ~some:f in
+    g "sb.traces" (sb (fun s -> s.Superblock.sb_live));
+    g "sb.promotions" (sb (fun s -> s.Superblock.sb_promotions));
+    g "sb.invalidations" (sb (fun s -> s.Superblock.sb_invalidations));
+    g "sb.execs" (sb (fun s -> s.Superblock.sb_execs));
+    g "sb.completions" (sb (fun s -> s.Superblock.sb_completions));
+    g "sb.instrs" (sb (fun s -> s.Superblock.sb_instrs))
+  end
 
 (* Wire telemetry observers into the device plane: queue-depth and
    burst-size histograms plus per-event trace instants.  Single-slot
@@ -643,7 +647,7 @@ let reset t ~pc =
       h.hx_llm <- 0;
       h.hx_parked <- false)
     t.harts;
-  switch_to t 0;
+  t.cur <- 0;
   t.rr <- 0;
   (* wheel first: device resets cancel into an already-empty wheel, and
      the CLINT reset re-arms its deadline client through its hook *)
@@ -654,33 +658,34 @@ let reset t ~pc =
   Soc.Plic.reset t.plic;
   Soc.Syscon.reset t.syscon;
   Soc.Uart.clear_output t.uart;
-  t.last_load_mask <- 0;
   t.pending_ticks := 0;
   t.seg_idx := 0;
   t.seg_base := 0;
   t.exit_dirty := false;
   reforce_stuck t
 
-let enter_interrupt t irq =
+let enter_interrupt t h irq =
+  let st = h.hx_state in
   (match t.recorder with
   | Some r ->
       S4e_obs.Flight_recorder.event r S4e_obs.Flight_recorder.Irq
-        ~pc:t.state.pc ~info:(Trap.mcause_of_interrupt irq)
+        ~pc:st.pc ~info:(Trap.mcause_of_interrupt irq)
   | None -> ());
-  t.state.mepc <- t.state.pc;
-  t.state.mcause <- Trap.mcause_of_interrupt irq;
-  t.state.mtval <- 0;
-  Arch_state.set_mpie_bit t.state (Arch_state.mie_bit t.state);
-  Arch_state.set_mie_bit t.state false;
+  st.mepc <- st.pc;
+  st.mcause <- Trap.mcause_of_interrupt irq;
+  st.mtval <- 0;
+  Arch_state.set_mpie_bit st (Arch_state.mie_bit st);
+  Arch_state.set_mie_bit st false;
   (* interrupt entry invalidates any LR reservation, like a trap *)
-  t.state.reservation <- None;
-  t.state.pc <- t.state.mtvec
+  st.reservation <- None;
+  st.pc <- st.mtvec
 
 (* Priority order per the privileged spec: external, software, timer. *)
-let pending_interrupt t =
-  if not (Arch_state.mie_bit t.state) then None
+let pending_interrupt h =
+  let st = h.hx_state in
+  if not (Arch_state.mie_bit st) then None
   else
-    let active = t.state.mie land t.state.mip in
+    let active = st.mie land st.mip in
     if active = 0 then None
     else if active land meip_bit <> 0 then Some Trap.External
     else if active land msip_bit <> 0 then Some Trap.Software
@@ -701,22 +706,19 @@ let wfi_event_budget = 65536
    the scheduler wakes it when an enabled interrupt (e.g. a cross-hart
    MSIP IPI) becomes pending, fast-forwarding only once every hart is
    parked. *)
-let wfi_resume t =
-  if Array.length t.harts > 1 then begin
-    update_mip t;
-    t.state.mie land t.state.mip <> 0
-  end
-  else begin
-  update_mip t;
-  if t.state.mie land t.state.mip <> 0 then true
+let wfi_resume t h =
+  let st = h.hx_state in
+  let (_ : bool) = update_mip t h in
+  if st.mie land st.mip <> 0 then true
+  else if Array.length t.harts > 1 then false
   else if not t.config.device_plane then
-    if t.state.mie land mtip_bit <> 0 then begin
+    if st.mie land mtip_bit <> 0 then begin
       let now = Soc.Clint.time t.clint in
       let cmp = Soc.Clint.timecmp t.clint in
       if cmp = max_int then false
       else begin
         if cmp > now then Soc.Clint.tick t.clint (cmp - now);
-        update_mip t;
+        let (_ : bool) = update_mip t h in
         true
       end
     end
@@ -732,23 +734,14 @@ let wfi_resume t =
         let now = Soc.Clint.time t.clint in
         if next > now then Soc.Clint.tick t.clint (next - now);
         Soc.Event_wheel.run_due t.wheel ~now:(Soc.Clint.time t.clint);
-        compute_mip t;
-        if t.state.mie land t.state.mip <> 0 then woken := true
+        compute_mip t h;
+        if st.mie land st.mip <> 0 then woken := true
       end
     done;
     !woken
   end
-  end
 
 let hart_count t = Array.length t.harts
-
-(* Aggregates over all harts (the sum is the single hart's counter on
-   a one-hart machine). *)
-let instret t =
-  Array.fold_left (fun a h -> a + h.hx_state.Arch_state.instret) 0 t.harts
-
-let cycles t =
-  Array.fold_left (fun a h -> a + h.hx_state.Arch_state.cycle) 0 t.harts
 
 let uart_output t = Soc.Uart.output t.uart
 
@@ -764,12 +757,11 @@ let misaligned_pc t pc =
   if List.mem Isa_module.C t.config.isa then pc land 1 <> 0
   else pc land 3 <> 0
 
-(* Execute at most [fuel] instructions on the CURRENT hart.  This is
-   the whole pre-SMP [run] — a single-hart machine calls it directly
-   with the full fuel, so that path is unchanged; the SMP scheduler
+(* Execute at most [fuel] instructions on hart [h].  A single-hart
+   machine calls it directly with the full fuel; the SMP scheduler
    below feeds it one slice at a time. *)
-let run_slice t ~fuel =
-  let state = t.state in
+let run_slice t h ~fuel =
+  let state = h.hx_state and tb = h.hx_tb and lower_ctx = h.hx_lower in
   let timing = t.config.timing in
   let compressed = List.mem Isa_module.C t.config.isa in
   let remaining = t.fuel_left in
@@ -777,20 +769,16 @@ let run_slice t ~fuel =
   let exit_dirty = t.exit_dirty in
   let pending = t.pending_ticks in
   (* drains batched cycles AND the segment's uncredited instret/fuel *)
-  let flush_time = t.lower_ctx.Lower.lx_flush_time in
+  let flush_time = lower_ctx.Lower.lx_flush_time in
   (* per-hart closure: invalidates every hart's translated code and
      breaks other harts' reservations (plain single-TB notify on a
      one-hart machine) *)
-  let notify_store = t.lower_ctx.Lower.lx_notify_store in
+  let notify_store = lower_ctx.Lower.lx_notify_store in
   let on_mem ev =
     if ev.Hooks.mem_is_store then notify_store ev.Hooks.mem_addr;
     if Hooks.has_mem t.hooks then Hooks.fire_mem t.hooks ev
   in
-  (* Load-use hazard tracking: the destination of the previous
-     instruction when it was a load, as a {!Instr.source_mask}-encoded
-     bitmask (0 = no hazard window).  Lives on the machine so a run
-     split by snapshot/resume charges the same stalls as one
-     uninterrupted run. *)
+  (* load-use stall, charged against the hart's [hx_llm] window *)
   let hazard = timing.Timing_model.load_use_hazard in
   (* Stop on a pending syscon exit code; the dirty flag is set by the
      device write itself, so the hot path never polls the device. *)
@@ -801,8 +789,8 @@ let run_slice t ~fuel =
       | None -> exit_dirty := false
     end
   in
-  (* Hoisted like the profiler: an unrecorded run pays one pointer test
-     per block dispatch (and none at all on the superblock path). *)
+  (* Hoisted like the profiler: an unrecorded run pays a pointer test
+     per executed instruction (none at all on the superblock path). *)
   let rcd = t.recorder in
   (* Recorder scratch for the pre-execution capture of a memory access:
      [Exec] and the µop closures compute effective addresses
@@ -905,28 +893,27 @@ let run_slice t ~fuel =
   let exec_one ipc size instr =
     if Hooks.has_insn t.hooks then Hooks.fire_insn t.hooks ipc instr;
     (match instr with
-    | Instr.Fence_i -> Tb_cache.flush t.tb
+    | Instr.Fence_i -> Tb_cache.flush tb
     | _ -> ());
     (try
        let stall =
-         if hazard > 0
-            && t.last_load_mask land Instr.source_mask instr <> 0
-         then hazard
+         if hazard > 0 && h.hx_llm land Instr.source_mask instr <> 0 then
+           hazard
          else 0
        in
        (match rcd with Some _ -> pre_mem instr | None -> ());
        let taken = Exec.execute ~on_mem state t.bus ~size instr in
-       (match t.lower_ctx.Lower.lx_stuck with
+       (match lower_ctx.Lower.lx_stuck with
        | Some sk -> Lower.force state sk
        | None -> ());
-       if hazard > 0 then t.last_load_mask <- Instr.load_dest_mask instr;
+       if hazard > 0 then h.hx_llm <- Instr.load_dest_mask instr;
        let c = Timing_model.cost timing instr ~taken + stall in
        state.cycle <- state.cycle + c;
        Soc.Clint.tick t.clint c;
        (match rcd with Some r -> note_retire r ipc instr | None -> ())
      with Trap.Exn cause -> (
-       t.last_load_mask <- 0;
-       match enter_exception t cause ipc with
+       h.hx_llm <- 0;
+       match enter_exception t h cause ipc with
        | Some stop -> raise (Stop stop)
        | None ->
            state.cycle <- state.cycle + timing.Timing_model.system;
@@ -936,7 +923,7 @@ let run_slice t ~fuel =
     check_exit ();
     match instr with
     | Instr.Wfi ->
-        if not (wfi_resume t) then raise (Stop Wfi_halt)
+        if not (wfi_resume t h) then raise (Stop Wfi_halt)
     | _ -> ()
   in
   (* Execute a lowered (µop) block: no hook dispatch, no AST
@@ -944,16 +931,21 @@ let run_slice t ~fuel =
      boundary (or until a µop that observes time flushes them).  The
      batch never crosses an interrupt-sampling point — blocks are where
      interrupts are sampled — so it can never defer a timer past the
-     latency the generic path already has. *)
+     latency the generic path already has.  With a recorder armed the
+     same loop captures each µop's memory access before it executes and
+     appends its retire record after: [entry.instrs] is index-parallel
+     to the µop array, so the capture reads the decoded AST without
+     touching memory. *)
   let exec_lowered (entry : Tb_cache.entry) n =
     let uops =
       match entry.Tb_cache.lowered with
       | Some u -> u
       | None ->
-          let u = Lower.lower_entry t.lower_ctx entry in
+          let u = Lower.lower_entry lower_ctx entry in
           entry.Tb_cache.lowered <- Some u;
           u
     in
+    let instrs = entry.Tb_cache.instrs in
     let i = t.seg_idx and base = t.seg_base in
     i := 0;
     base := 0;
@@ -971,29 +963,36 @@ let run_slice t ~fuel =
         (try
            while !i < lim do
              let u = Array.unsafe_get uops !i in
-             if u.Tb_cache.u_fence_i then Tb_cache.flush t.tb;
+             if u.Tb_cache.u_fence_i then Tb_cache.flush tb;
              let stall =
-               if hazard > 0
-                  && t.last_load_mask land u.Tb_cache.u_src_mask <> 0
+               if hazard > 0 && h.hx_llm land u.Tb_cache.u_src_mask <> 0
                then hazard
                else 0
              in
-             let c = u.Tb_cache.u_exec () + stall in
-             if hazard > 0 then
-               t.last_load_mask <- u.Tb_cache.u_load_dest_mask;
-             pending := !pending + c;
+             let c =
+               match rcd with
+               | None -> u.Tb_cache.u_exec ()
+               | Some r ->
+                   let ipc, _, instr = Array.unsafe_get instrs !i in
+                   pre_mem instr;
+                   let c = u.Tb_cache.u_exec () in
+                   note_retire r ipc instr;
+                   c
+             in
+             if hazard > 0 then h.hx_llm <- u.Tb_cache.u_load_dest_mask;
+             pending := !pending + c + stall;
              incr i;
              check_exit ();
              if u.Tb_cache.u_wfi then begin
                flush_time ();
-               if not (wfi_resume t) then raise (Stop Wfi_halt)
+               if not (wfi_resume t h) then raise (Stop Wfi_halt)
              end
            done
          with Trap.Exn cause ->
            let u = Array.unsafe_get uops !i in
            flush_time ();
-           t.last_load_mask <- 0;
-           (match enter_exception t cause u.Tb_cache.u_pc with
+           h.hx_llm <- 0;
+           (match enter_exception t h cause u.Tb_cache.u_pc with
            | Some stop -> raise (Stop stop)
            | None ->
                state.cycle <- state.cycle + timing.Timing_model.system;
@@ -1007,78 +1006,6 @@ let run_slice t ~fuel =
            check_exit ();
            (* the generic path only continues a block when the trap
               handler happens to be the next instruction *)
-           if
-             not
-               (!i < lim
-               && state.pc = (Array.unsafe_get uops !i).Tb_cache.u_pc)
-           then quit := true)
-      done;
-      flush_time ()
-    with e ->
-      flush_time ();
-      raise e
-  in
-  (* Recording sibling of [exec_lowered]: identical µop execution, trap
-     handling, and batched accounting, plus one recorder append per
-     retired µop.  [entry.instrs] is index-parallel to the lowered µop
-     array, so the pre/post capture reads the decoded AST without
-     touching memory.  Selected per block when a recorder is attached —
-     the unarmed hot path above stays byte-identical. *)
-  let exec_lowered_rec r (entry : Tb_cache.entry) n =
-    let uops =
-      match entry.Tb_cache.lowered with
-      | Some u -> u
-      | None ->
-          let u = Lower.lower_entry t.lower_ctx entry in
-          entry.Tb_cache.lowered <- Some u;
-          u
-    in
-    let instrs = entry.Tb_cache.instrs in
-    let i = t.seg_idx and base = t.seg_base in
-    i := 0;
-    base := 0;
-    let lim = if n <= !remaining then n else !remaining in
-    let quit = ref false in
-    try
-      while (not !quit) && !i < lim do
-        (try
-           while !i < lim do
-             let u = Array.unsafe_get uops !i in
-             if u.Tb_cache.u_fence_i then Tb_cache.flush t.tb;
-             let stall =
-               if hazard > 0
-                  && t.last_load_mask land u.Tb_cache.u_src_mask <> 0
-               then hazard
-               else 0
-             in
-             let ipc, _, instr = Array.unsafe_get instrs !i in
-             pre_mem instr;
-             let c = u.Tb_cache.u_exec () + stall in
-             if hazard > 0 then
-               t.last_load_mask <- u.Tb_cache.u_load_dest_mask;
-             pending := !pending + c;
-             note_retire r ipc instr;
-             incr i;
-             check_exit ();
-             if u.Tb_cache.u_wfi then begin
-               flush_time ();
-               if not (wfi_resume t) then raise (Stop Wfi_halt)
-             end
-           done
-         with Trap.Exn cause ->
-           let u = Array.unsafe_get uops !i in
-           flush_time ();
-           t.last_load_mask <- 0;
-           (match enter_exception t cause u.Tb_cache.u_pc with
-           | Some stop -> raise (Stop stop)
-           | None ->
-               state.cycle <- state.cycle + timing.Timing_model.system;
-               Soc.Clint.tick t.clint timing.Timing_model.system);
-           state.instret <- state.instret + 1;
-           incr i;
-           base := !i;
-           decr remaining;
-           check_exit ();
            if
              not
                (!i < lim
@@ -1139,18 +1066,14 @@ let run_slice t ~fuel =
      traces pass register values through OCaml locals, which would
      read past the force.  All fall back transparently. *)
   let sb =
-    match (t.sb, prof, rcd, t.lower_ctx.Lower.lx_stuck) with
+    match (h.hx_sb, prof, rcd, lower_ctx.Lower.lx_stuck) with
     | Some s, None, None, None when lowered_ok -> Some s
     | _ -> None
   in
   (* Block execution for the non-superblock paths: the lowered engine
-     (recording sibling when armed) or the generic interpreter. *)
+     or the generic interpreter. *)
   let exec_entry entry n =
-    if lowered_ok then
-      match rcd with
-      | Some r -> exec_lowered_rec r entry n
-      | None -> exec_lowered entry n
-    else exec_generic entry n
+    if lowered_ok then exec_lowered entry n else exec_generic entry n
   in
   let promote_mask =
     match sb with Some s -> Superblock.promote_period s - 1 | None -> 0
@@ -1173,18 +1096,18 @@ let run_slice t ~fuel =
      stays engine-identical. *)
   let fetch_trap_or_stop cause pc =
     decr remaining;
-    match enter_exception t cause pc with
+    match enter_exception t h cause pc with
     | Some stop -> raise (Stop stop)
     | None -> ()
   in
   try
     while !remaining > 0 do
       if use_tb || !at_boundary then begin
-        update_mip t;
-        (match pending_interrupt t with
+        let (_ : bool) = update_mip t h in
+        (match pending_interrupt h with
         | Some irq ->
-            enter_interrupt t irq;
-            t.last_load_mask <- 0
+            enter_interrupt t h irq;
+            h.hx_llm <- 0
         | None -> ());
         at_boundary := false;
         block_len := 0
@@ -1196,8 +1119,8 @@ let run_slice t ~fuel =
       end
       else if use_tb then begin
         let entry =
-          if chained then Tb_cache.next t.tb !prev pc
-          else Tb_cache.lookup t.tb pc
+          if chained then Tb_cache.next tb !prev pc
+          else Tb_cache.lookup tb pc
         in
         prev := Some entry;
         let n = Array.length entry.Tb_cache.instrs in
@@ -1351,9 +1274,9 @@ let smp_run t ~fuel =
     end
     else begin
       let idx = !found in
-      switch_to t idx;
+      t.cur <- idx;
       let f = if slice < !total then slice else !total in
-      (match run_slice t ~fuel:f with
+      (match run_slice t t.harts.(idx) ~fuel:f with
       | Out_of_fuel -> ()
       | Wfi_halt -> t.harts.(idx).hx_parked <- true
       | (Exited _ | Fatal_trap _) as r -> result := Some r);
@@ -1366,7 +1289,8 @@ let smp_run t ~fuel =
   match !result with Some r -> r | None -> Out_of_fuel
 
 let run t ~fuel =
-  if Array.length t.harts = 1 then run_slice t ~fuel else smp_run t ~fuel
+  if Array.length t.harts = 1 then run_slice t t.harts.(0) ~fuel
+  else smp_run t ~fuel
 
 (* ---------------- snapshot / restore ---------------- *)
 
@@ -1391,8 +1315,6 @@ type snapshot = {
 }
 
 let snapshot t =
-  (* the alias holds the current hart's live hazard window *)
-  t.harts.(t.cur).hx_llm <- t.last_load_mask;
   { snap_states = Array.map (fun h -> Arch_state.copy h.hx_state) t.harts;
     snap_llm = Array.map (fun h -> h.hx_llm) t.harts;
     snap_parked = Array.map (fun h -> h.hx_parked) t.harts;
@@ -1415,7 +1337,7 @@ let restore t s =
       h.hx_llm <- s.snap_llm.(i);
       h.hx_parked <- s.snap_parked.(i))
     t.harts;
-  switch_to t s.snap_cur;
+  t.cur <- s.snap_cur;
   t.rr <- s.snap_rr;
   S4e_mem.Sparse_mem.restore (Bus.ram t.bus) s.snap_mem;
   Soc.Uart.restore t.uart s.snap_uart;
@@ -1429,7 +1351,6 @@ let restore t s =
   Soc.Dma.restore t.dma s.snap_dma;
   Soc.Vnet.restore t.vnet s.snap_vnet;
   Soc.Plic.restore t.plic s.snap_plic;
-  t.last_load_mask <- s.snap_llm.(s.snap_cur);
   (match (t.recorder, s.snap_rec) with
   | Some r, Some m -> S4e_obs.Flight_recorder.rewind r m
   | _ -> ());

@@ -1,14 +1,19 @@
-(** The virtual prototype: one RV32 hart, bus, and platform devices.
+(** The virtual prototype: one or more RV32 harts, bus, and platform
+    devices.
 
-    A machine bundles architectural state, the system bus with the
-    default {!S4e_soc.Memory_map} devices (UART, CLINT, GPIO, syscon),
-    the instrumentation {!Hooks}, a configurable decoder, the
-    translation-block cache, and the timing model.  [run] executes until
-    software exits through the syscon, a fatal trap occurs, fuel runs
-    out, or the hart would sleep forever in WFI.
+    A machine bundles per-hart architectural state and translation
+    machinery, the system bus with the default
+    {!S4e_soc.Memory_map} devices (UART, CLINT, GPIO, syscon, and the
+    event-driven DMA/vnet/PLIC device plane), the instrumentation
+    {!Hooks}, a configurable decoder, and the timing model.  [run]
+    executes until software exits through the syscon, a fatal trap
+    occurs, fuel runs out, or every hart would sleep forever in WFI.
 
-    Three execution engines share one observable semantics (identical
-    {!state_digest} traces, enforced by differential tests):
+    One run loop, handed the hart it runs, drives three execution
+    engines; with the chaining, memory-TLB and superblock knobs they
+    make the six engine configurations of the differential suites,
+    which share one observable semantics (identical {!state_digest}
+    traces and flight-recorder contents):
 
     - {b lowered} (default): translation blocks compiled to µop closure
       arrays ([Lower]) with block chaining, batched cycle/CLINT ticking,
@@ -121,19 +126,23 @@ type hart = {
   hx_id : int;
   hx_state : Arch_state.t;
   hx_tb : Tb_cache.t;
-  mutable hx_lower : Lower.ctx;
+  hx_lower : Lower.ctx;
   mutable hx_sb : Superblock.t option;
+      (** the hart's superblock trace engine; [None] when
+          [config.superblocks] is off (or the lowered engine is
+          unavailable) *)
   mutable hx_llm : int;
-      (** saved load-use hazard window while the hart is descheduled *)
+      (** load-use hazard window of the hart's previous retired
+          instruction as an {!S4e_isa.Instr.source_mask}-encoded
+          destination bitmask (0 = none); persists across [run] calls so
+          resumed executions charge the same stalls as uninterrupted
+          ones *)
   mutable hx_parked : bool;
       (** parked in WFI (pc already past it); the scheduler wakes the
           hart when an enabled interrupt becomes pending *)
 }
 
 type t = {
-  mutable state : Arch_state.t;
-      (** alias of the current hart's state ([harts.(cur)]); constant
-          on a single-hart machine *)
   bus : S4e_mem.Bus.t;
   uart : S4e_soc.Uart.t;
   clint : S4e_soc.Clint.t;
@@ -150,15 +159,10 @@ type t = {
   hooks : Hooks.t;
   config : config;
   decode32 : word -> S4e_isa.Instr.t option;
-  mutable tb : Tb_cache.t;  (** alias of the current hart's TB cache *)
-  mutable last_load_mask : int;
-      (** load-use hazard window of the previous retired instruction as
-          an {!S4e_isa.Instr.source_mask}-encoded destination bitmask
-          (0 = none); persists across [run] calls so resumed executions
-          charge the same stalls as uninterrupted ones *)
   pending_ticks : int ref;
-      (** cycles batched by the lowered engine, not yet applied to
-          [state.cycle] / the CLINT; always 0 outside [run] *)
+      (** cycles batched by the lowered engine, not yet applied to the
+          running hart's cycle counter / the CLINT; always 0 outside
+          [run] *)
   seg_idx : int ref;
       (** lowered engine: µop index within the running block segment *)
   seg_base : int ref;
@@ -170,12 +174,10 @@ type t = {
   exit_dirty : bool ref;
       (** set by the syscon write notifier; [run] polls the device's
           exit code only when this is set *)
-  mutable lower_ctx : Lower.ctx;
-  mutable sb : Superblock.t option;
-      (** the superblock trace engine; [None] when [config.superblocks]
-          is off (or the lowered engine is unavailable) *)
   harts : hart array;
-  mutable cur : int;  (** index of the hart the alias fields track *)
+  mutable cur : int;
+      (** index of the hart [run] last scheduled (0 after {!reset});
+          the hart {!state} reads *)
   mutable rr : int;
       (** round-robin scheduling pointer (next hart to consider);
           persists across [run] calls so staged-fuel runs interleave
@@ -194,6 +196,11 @@ type t = {
 
 val create : ?config:config -> unit -> t
 
+val state : t -> Arch_state.t
+(** The architectural state of hart [cur]: the only hart of a one-hart
+    machine; on SMP the hart running (inside [run], e.g. from a bus
+    watcher) or last scheduled. *)
+
 val set_profiler : t -> S4e_obs.Profile.t option -> unit
 (** Attaches (or detaches) a hot-spot profiler.  [run] then feeds it
     one {!S4e_obs.Profile.note} per dispatched translation block with
@@ -211,14 +218,14 @@ val set_recorder : t -> S4e_obs.Flight_recorder.t option -> unit
     {!S4e_obs.Flight_recorder.retire} record per retired instruction
     (pc, opcode word, register writeback, effective address / width /
     value for memory accesses) plus trap / interrupt / device-event
-    markers.  Like the profiler, an unarmed run pays one pointer test
-    per block dispatch; an armed run leaves the superblock path (the
-    lowered recording sibling captures per instruction) but never
-    perturbs execution — state digests, stop reasons, and cycle counts
-    are identical armed vs. unarmed on every engine config (enforced by
-    differential tests).  {!snapshot} captures the recorder's position
-    and {!restore} rewinds to it, so sequence numbers stay continuous
-    across campaign forks. *)
+    markers.  An unarmed run pays a test of the hoisted recorder
+    pointer per lowered µop; an armed run leaves the superblock path
+    (the same µop loop captures per instruction) but never perturbs
+    execution — state digests, stop reasons, and cycle counts are
+    identical armed vs. unarmed, and the records themselves identical
+    across engine configs (enforced by differential tests).
+    {!snapshot} captures the recorder's position and {!restore} rewinds
+    to it, so sequence numbers stay continuous across campaign forks. *)
 
 val recorder : t -> S4e_obs.Flight_recorder.t option
 
@@ -234,8 +241,16 @@ val watchpoints : t -> watchpoint list
 
 val set_watch_trace : t -> S4e_obs.Trace_events.t option -> unit
 
+val tb_stats : t -> Tb_cache.stats
+(** Translation-block cache counters summed over every hart. *)
+
+val hot_edges : t -> (word * word * int) list
+(** Every hart's live chain edges ({!Tb_cache.hot_edges}), traversals
+    summed per edge, hottest first. *)
+
 val trace_stats : t -> Superblock.stats option
-(** Superblock trace engine counters; [None] when disabled. *)
+(** Superblock trace engine counters summed over every hart; [None]
+    when disabled. *)
 
 val register_metrics : ?prefix:string -> t -> S4e_obs.Metrics.t -> unit
 (** Registers gauges over the machine's existing counters —
@@ -246,8 +261,9 @@ val register_metrics : ?prefix:string -> t -> S4e_obs.Metrics.t -> unit
     [vnet.rx_delivered], [vnet.rx_dropped], [vnet.tx_sent], and (when
     superblocks are on) [sb.traces], [sb.promotions],
     [sb.invalidations], [sb.execs], [sb.completions], [sb.instrs]
-    (prefix default ["machine."]).  Gauges are read-on-demand probes:
-    the hot path is untouched. *)
+    (prefix default ["machine."]).  Per-hart counters ([instret],
+    [cycles], [tb.*], [sb.*]) sum over every hart.  Gauges are
+    read-on-demand probes: the hot path is untouched. *)
 
 val observe_devices :
   ?metrics:S4e_obs.Metrics.t -> ?trace:S4e_obs.Trace_events.t -> t -> unit
@@ -296,10 +312,6 @@ val run : t -> fuel:int -> stop_reason
     hart is parked, and [Wfi_halt] means no hart can ever wake.  The
     interleaving is a pure function of (program, fuel, slice) —
     identical on every engine. *)
-
-val switch_to : t -> int -> unit
-(** Point the alias fields ([state], [tb], …) at the given hart.  Only
-    legal between [run] calls; [run] schedules harts itself. *)
 
 val hart_count : t -> int
 

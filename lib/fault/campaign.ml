@@ -219,7 +219,7 @@ let shard ~index ~count ifaults =
    are harmless: a fingerprint match only gates the exact
    [Machine.state_digest] comparison. *)
 let cheap_fingerprint (m : Machine.t) =
-  let st = m.Machine.state in
+  let st = Machine.state m in
   let h = ref 0 in
   let mix v = h := ((!h * 31) + v) land max_int in
   Array.iter mix st.Arch_state.regs;
@@ -262,7 +262,7 @@ type trace = {
 
 let collect_trace ?config ~fuel ~interval ~golden program =
   let m = run_machine ?config program in
-  let st = m.Machine.state in
+  let st = Machine.state m in
   let digests = Hashtbl.create 64 in
   let lo = ref max_int in
   let hi = ref 0 in
@@ -347,7 +347,7 @@ let bump = Option.iter Obs.Metrics.incr
 let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
     ~on_result program chunk =
   let m = run_machine ?config program in
-  let st = m.Machine.state in
+  let st = Machine.state m in
   (* [None] = not classified: a mutant skipped because the campaign was
      cancelled mid-chunk stays [None] and is simply absent from the
      results, never silently defaulted. *)
@@ -801,7 +801,7 @@ let recorder_tail ?(limit = max_int) r =
    Capped — a wildly diverged mutant differs everywhere, and the first
    few registers already name the corruption. *)
 let reg_diffs ?(limit = 12) (g : Machine.t) (m : Machine.t) =
-  let gs = g.Machine.state and ms = m.Machine.state in
+  let gs = Machine.state g and ms = Machine.state m in
   let out = ref [] in
   let diff name a b =
     if a <> b then out := { rd_name = name; rd_golden = a; rd_mutant = b } :: !out
@@ -879,13 +879,13 @@ let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
           tg_outcome = outcome;
           tg_diverged = diverged;
           tg_instret = Machine.instret m;
-          tg_golden_pc = g.Machine.state.Arch_state.pc;
-          tg_mutant_pc = m.Machine.state.Arch_state.pc;
+          tg_golden_pc = (Machine.state g).Arch_state.pc;
+          tg_mutant_pc = (Machine.state m).Arch_state.pc;
           tg_insn = insn;
           tg_reg_diffs = reg_diffs g m;
           tg_mem_diff = mem_differs g m;
-          tg_mip_golden = g.Machine.state.Arch_state.mip;
-          tg_mip_mutant = m.Machine.state.Arch_state.mip;
+          tg_mip_golden = (Machine.state g).Arch_state.mip;
+          tg_mip_mutant = (Machine.state m).Arch_state.mip;
           tg_tail =
             (match tail_lines with
             | Some l -> l

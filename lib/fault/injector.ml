@@ -8,12 +8,11 @@ module Hooks = S4e_cpu.Hooks
 type armed = Flipped | Hooked of Hooks.id | Stuck
 
 let flip_code m addr bit =
-  let ram = S4e_mem.Bus.ram m.Machine.bus in
-  (* bit within the 32-bit word at the (aligned) address *)
+  (* bit within the 32-bit word at the (aligned) address; [load_word]
+     invalidates the word's translations on every hart *)
   let base = addr land lnot 3 in
-  let w = S4e_mem.Sparse_mem.read32 ram base in
-  S4e_mem.Sparse_mem.write32 ram base (Bits.flip_bit bit w);
-  S4e_cpu.Tb_cache.notify_store m.Machine.tb base;
+  let w = S4e_mem.Sparse_mem.read32 (S4e_mem.Bus.ram m.Machine.bus) base in
+  Machine.load_word m base (Bits.flip_bit bit w);
   (* Writing through [Sparse_mem] mutates page buffers in place, so the
      bus TLB stays content-coherent — but an injector write is exactly
      the kind of behind-the-bus mutation the TLB contract does not
@@ -75,7 +74,7 @@ let after m n flip =
 
 let arm (m : Machine.t) (f : Fault.t) =
   validate f;
-  let st = m.Machine.state in
+  let st = Machine.state m in
   match (f.Fault.loc, f.Fault.kind) with
   | Fault.Code (addr, bit), Fault.Permanent ->
       flip_code m addr bit;

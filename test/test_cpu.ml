@@ -345,7 +345,7 @@ let state_canonical_prop =
          let m = Machine.create () in
          S4e_asm.Program.load_machine p m;
          let _ = Machine.run m ~fuel:100_000 in
-         let st = m.Machine.state in
+         let st = Machine.state m in
          let canonical v = v >= 0 && v <= 0xFFFF_FFFF in
          st.State.regs.(0) = 0
          && Array.for_all canonical st.State.regs
@@ -613,11 +613,11 @@ patch:
   in
   Alcotest.(check int) "patched code executed without fence.i" 100
     (exit_code stop);
-  let tb = m.Machine.tb in
+  let ts = Machine.tb_stats m in
   (* exactly the block overlapping the stored word died; no flush *)
   Alcotest.(check int) "one block invalidated"
-    1 (S4e_cpu.Tb_cache.stats tb).S4e_cpu.Tb_cache.st_invalidations;
-  let blocks = (S4e_cpu.Tb_cache.stats tb).S4e_cpu.Tb_cache.st_blocks in
+    1 ts.S4e_cpu.Tb_cache.st_invalidations;
+  let blocks = ts.S4e_cpu.Tb_cache.st_blocks in
   Alcotest.(check bool) "unrelated blocks survive" true (blocks >= 2)
 
 let test_decoder_configs_agree () =
@@ -689,7 +689,7 @@ loop:
   in
   S4e_asm.Program.load_machine p m;
   let _ = Machine.run m ~fuel:10_000 in
-  let ts = S4e_cpu.Tb_cache.stats m.Machine.tb in
+  let ts = Machine.tb_stats m in
   (* chained successor lookups bypass the hashtable entirely *)
   let chained = ts.S4e_cpu.Tb_cache.st_chain_hits in
   Alcotest.(check bool) "few blocks" true (ts.S4e_cpu.Tb_cache.st_blocks <= 5);
@@ -975,9 +975,9 @@ buf:
          let snap = Machine.snapshot m in
          let obs stop =
            ( stop,
-             m.Machine.state.State.pc,
+             (Machine.state m).State.pc,
              Machine.instret m,
-             m.Machine.state.State.cycle,
+             (Machine.state m).State.cycle,
              Machine.uart_output m,
              Machine.state_digest m )
          in

@@ -838,7 +838,7 @@ let test_triage_stuck_at_write () =
 let test_triage_flow_jsonl_and_top_sites () =
   let p = engine_program () in
   let cfg = flow_cfg ~seed:23 ~n:40 in
-  let r = Flows.fault_flow cfg p in
+  let r = Result.get_ok (Flows.fault_campaign cfg p) in
   let divergent =
     List.filter
       (fun (_, _, o) ->
@@ -878,7 +878,7 @@ let test_triage_flow_jsonl_and_top_sites () =
 let test_triage_deterministic () =
   let p = engine_program () in
   let cfg = flow_cfg ~seed:23 ~n:40 in
-  let r = Flows.fault_flow cfg p in
+  let r = Result.get_ok (Flows.fault_campaign cfg p) in
   let a = Flows.fault_triage ~sample:3 cfg p r in
   let b = Flows.fault_triage ~sample:3 cfg p r in
   Alcotest.(check bool) "triage is deterministic" true (a = b)

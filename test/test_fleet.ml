@@ -444,7 +444,7 @@ let fleet_determinism =
       let n = 12 in
       let p = fleet_program () in
       let cfg = flow_cfg ~seed ~n in
-      let reference = Flows.fault_flow cfg p in
+      let reference = Result.get_ok (Flows.fault_campaign cfg p) in
       match run_fleet_simulation ~shards ~seed ~n ~deaths with
       | Error e -> QCheck.Test.fail_reportf "simulation failed: %s" e
       | Ok (h, records) ->

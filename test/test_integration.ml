@@ -47,7 +47,10 @@ loop:
 |}
   in
   let on = Flows.run p in
-  let off = Flows.run ~superblocks:false p in
+  let off =
+    Flows.run
+      ~config:{ Machine.default_config with Machine.superblocks = false } p
+  in
   Alcotest.(check bool) "same stop" true (on.Flows.rr_stop = off.Flows.rr_stop);
   Alcotest.(check int) "same instret" off.Flows.rr_instret on.Flows.rr_instret;
   Alcotest.(check int) "same cycles" off.Flows.rr_cycles on.Flows.rr_cycles;
@@ -330,15 +333,18 @@ l:
 |}
   in
   let guided =
-    Flows.fault_flow
-      { Flows.default_fault_config with Flows.ff_mutants = 60; ff_fuel = 50_000 }
-      p
+    Result.get_ok
+      (Flows.fault_campaign
+         { Flows.default_fault_config with
+           Flows.ff_mutants = 60; ff_fuel = 50_000 }
+         p)
   in
   let blind =
-    Flows.fault_flow
-      { Flows.default_fault_config with
-        Flows.ff_mutants = 60; ff_fuel = 50_000; ff_blind = true }
-      p
+    Result.get_ok
+      (Flows.fault_campaign
+         { Flows.default_fault_config with
+           Flows.ff_mutants = 60; ff_fuel = 50_000; ff_blind = true }
+         p)
   in
   Alcotest.(check int) "guided total" 60 guided.Flows.ff_summary.S4e_fault.Campaign.total;
   (* blind campaigns waste mutants on unused state, so they mask more *)
@@ -356,9 +362,11 @@ let test_full_pipeline_on_torture () =
   Alcotest.(check bool) "coverage nonempty" true
     (S4e_coverage.Report.executed_count cov > 0);
   let fr =
-    Flows.fault_flow
-      { Flows.default_fault_config with Flows.ff_mutants = 20; ff_fuel = 50_000 }
-      p
+    Result.get_ok
+      (Flows.fault_campaign
+         { Flows.default_fault_config with
+           Flows.ff_mutants = 20; ff_fuel = 50_000 }
+         p)
   in
   Alcotest.(check int) "campaign complete" 20
     fr.Flows.ff_summary.S4e_fault.Campaign.total;

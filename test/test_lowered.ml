@@ -551,7 +551,7 @@ let run_stuck ~via ~fuel config p c =
   let stop =
     match first with
     | Machine.Out_of_fuel -> (
-        let st = m.Machine.state in
+        let st = Machine.state m in
         let v =
           match c.sc_file with
           | Machine.Gpr -> S4e_cpu.Arch_state.get_reg st c.sc_reg
@@ -683,7 +683,7 @@ let test_stuck_restore_reset () =
   S4e_asm.Program.load_machine
     (S4e_asm.Assembler.assemble_exn "_start:\n  ebreak\n") m;
   let snap = Machine.snapshot m in
-  let reg r = S4e_cpu.Arch_state.get_reg m.Machine.state r in
+  let reg r = S4e_cpu.Arch_state.get_reg (Machine.state m) r in
   let stuck r =
     Some { Machine.sk_file = Machine.Gpr; sk_reg = r; sk_bit = 3; sk_value = true }
   in
@@ -697,7 +697,7 @@ let test_stuck_restore_reset () =
   Machine.restore m snap;
   Alcotest.(check int) "cleared" 0 (reg 9);
   Machine.set_stuck m (stuck 0);
-  Alcotest.(check int) "x0 is never forced" 0 m.Machine.state.S4e_cpu.Arch_state.regs.(0);
+  Alcotest.(check int) "x0 is never forced" 0 (Machine.state m).S4e_cpu.Arch_state.regs.(0);
   Alcotest.check_raises "register out of range"
     (Invalid_argument "Machine.set_stuck: register or bit out of range")
     (fun () -> Machine.set_stuck m (stuck 32))

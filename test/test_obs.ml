@@ -312,6 +312,63 @@ let prop_recorder_arm_disarm_inert =
       in
       segmented false = segmented true)
 
+(* Recorder contents are engine-independent: every field of every
+   record, the stop reason and the sequence count agree across the six
+   engine configs.  The ring is large enough to hold each whole run. *)
+let recording ?(rig = false) ~fuel config p =
+  let m = Machine.create ~config () in
+  let r = Flight_recorder.create ~capacity:8192 () in
+  Machine.set_recorder m (Some r);
+  S4e_asm.Program.load_machine p m;
+  if rig then Flows.arm_device_rig m;
+  let stop = Machine.run m ~fuel in
+  if Flight_recorder.seq r > Flight_recorder.capacity r then
+    failwith "recording: the run overflowed the ring";
+  ( Format.asprintf "%a" Machine.pp_stop_reason stop,
+    Flight_recorder.seq r,
+    Flight_recorder.records r )
+
+(* [None] when every engine config records what the first one does,
+   else the name of the first config that differs *)
+let recording_mismatch ?rig ?(harts = 1) ~fuel p =
+  let runs =
+    List.map
+      (fun (name, config) ->
+        (name, recording ?rig ~fuel { config with Machine.harts } p))
+      rec_engines
+  in
+  let reference = snd (List.hd runs) in
+  List.find_map
+    (fun (name, got) -> if got = reference then None else Some name)
+    runs
+
+let prop_recorder_engines_agree =
+  prop ~count:60 "recorder contents identical on every engine" seed_gen
+    (fun seed ->
+      List.for_all
+        (fun (compress, rig) ->
+          let cfg = { Torture.default_config with Torture.seed; compress } in
+          let fuel = Torture.fuel_bound cfg in
+          match recording_mismatch ~rig ~fuel (Torture.generate cfg) with
+          | None -> true
+          | Some name ->
+              QCheck.Test.fail_reportf "rvc=%b rig=%b: %s differs" compress
+                rig name)
+        [ (false, false); (true, false); (false, true); (true, true) ])
+
+let test_recorder_engines_agree_smp () =
+  List.iter
+    (fun harts ->
+      let fuel = S4e_torture.Smp.fuel ~harts ~rounds:8 in
+      List.iter
+        (fun (name, p) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: every engine records the same" name)
+            None
+            (recording_mismatch ~harts ~fuel p))
+        (S4e_torture.Smp.suite ~harts ~rounds:8))
+    [ 2; 4 ]
+
 let push_retire r i =
   Flight_recorder.retire r ~pc:i ~op:i ~rd:(-1) ~rd_val:0 ~addr:(-1)
     ~width:0 ~value:0 ~store:false
@@ -485,7 +542,9 @@ let test_campaign_metrics_and_trace () =
       Flows.ff_fuel = 100_000;
       Flows.ff_hang_budget = Flows.Hang_auto }
   in
-  let r = Flows.fault_flow ~jobs:2 ~metrics:reg ~trace:sink cfg p in
+  let r =
+    Result.get_ok (Flows.fault_campaign ~jobs:2 ~metrics:reg ~trace:sink cfg p)
+  in
   let s = r.Flows.ff_summary in
   let snap = Metrics.snapshot reg in
   let geti k = match List.assoc k snap with Metrics.Int i -> i | _ -> -1 in
@@ -512,7 +571,7 @@ let test_campaign_metrics_and_trace () =
       "\"cat\":\"mutant\""; "\"name\":\"chunk\"" ];
   Alcotest.(check bool) "enough events" true (Trace_events.events sink > 30);
   (* telemetry must not change outcomes: same campaign, no telemetry *)
-  let r' = Flows.fault_flow ~jobs:2 cfg p in
+  let r' = Result.get_ok (Flows.fault_campaign ~jobs:2 cfg p) in
   Alcotest.(check bool) "outcomes unaffected by telemetry" true
     (r.Flows.ff_summary = r'.Flows.ff_summary)
 
@@ -605,6 +664,9 @@ let () =
             test_hot_loop_ranked_first ] );
       ( "flight-recorder",
         [ prop_recorder_inert; prop_recorder_arm_disarm_inert;
+          prop_recorder_engines_agree;
+          Alcotest.test_case "engines agree (SMP)" `Quick
+            test_recorder_engines_agree_smp;
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "mark/rewind" `Quick test_mark_rewind;
           Alcotest.test_case "snapshot/restore continuity" `Quick

@@ -96,7 +96,7 @@ slots:
 let test_misa () =
   let m = Machine.create () in
   let v =
-    match Arch_state.csr_read m.Machine.state Csr.misa with
+    match Arch_state.csr_read (Machine.state m) Csr.misa with
     | Some v -> v
     | None -> Alcotest.fail "misa unimplemented"
   in
@@ -114,7 +114,7 @@ let test_misa () =
                 Machine.isa = [ Isa_module.I; Isa_module.M; Isa_module.Zicsr ] }
       ()
   in
-  match Arch_state.csr_read m'.Machine.state Csr.misa with
+  match Arch_state.csr_read (Machine.state m') Csr.misa with
   | Some v' ->
       Alcotest.(check bool) "restricted: no A" true (v' land 1 = 0);
       Alcotest.(check bool) "restricted: no F" true (v' land (1 lsl 5) = 0);
@@ -444,6 +444,57 @@ let prop_amo_differential =
               stop_str stop = stop_str stopr && digest_of m = dr)
             rest)
 
+(* ---------------- telemetry ---------------- *)
+
+(* Engine telemetry covers every hart: each [tb.*] and [sb.*] gauge and
+   [Machine.trace_stats] equal the per-hart sums, read straight off each
+   hart's TB cache and trace engine, on a 4-hart spinlock run. *)
+let test_metrics_sum_harts () =
+  let module Tb = S4e_cpu.Tb_cache in
+  let module Sb = S4e_cpu.Superblock in
+  let _, p = Smp.spinlock ~harts:4 ~rounds:8 in
+  let m = Machine.create ~config:(with_harts 4 Machine.default_config) () in
+  let reg = S4e_obs.Metrics.create () in
+  Machine.register_metrics m reg;
+  S4e_asm.Program.load_machine p m;
+  check_exit_ok "spinlock"
+    (Machine.run m ~fuel:(Smp.fuel ~harts:4 ~rounds:8));
+  let snap = S4e_obs.Metrics.snapshot reg in
+  let gauge k =
+    match List.assoc ("machine." ^ k) snap with
+    | S4e_obs.Metrics.Int i -> i
+    | S4e_obs.Metrics.Float _ -> Alcotest.failf "%s: not an int gauge" k
+  in
+  let sum f = Array.fold_left (fun a h -> a + f h) 0 m.Machine.harts in
+  let tb f = sum (fun h -> f (Tb.stats h.Machine.hx_tb)) in
+  let sb f = sum (fun h -> f (Sb.stats (Option.get h.Machine.hx_sb))) in
+  let ts = Option.get (Machine.trace_stats m) in
+  List.iter
+    (fun (name, got, want) -> Alcotest.(check int) name want got)
+    [ ("tb.blocks", gauge "tb.blocks", tb (fun s -> s.Tb.st_blocks));
+      ("tb.hits", gauge "tb.hits", tb (fun s -> s.Tb.st_hits));
+      ("tb.misses", gauge "tb.misses", tb (fun s -> s.Tb.st_misses));
+      ("tb.chain_hits", gauge "tb.chain_hits", tb (fun s -> s.Tb.st_chain_hits));
+      ("tb.invalidations", gauge "tb.invalidations",
+       tb (fun s -> s.Tb.st_invalidations));
+      ("sb.traces", gauge "sb.traces", sb (fun s -> s.Sb.sb_live));
+      ("sb.promotions", gauge "sb.promotions", sb (fun s -> s.Sb.sb_promotions));
+      ("sb.invalidations", gauge "sb.invalidations",
+       sb (fun s -> s.Sb.sb_invalidations));
+      ("sb.execs", gauge "sb.execs", sb (fun s -> s.Sb.sb_execs));
+      ("sb.completions", gauge "sb.completions",
+       sb (fun s -> s.Sb.sb_completions));
+      ("sb.instrs", gauge "sb.instrs", sb (fun s -> s.Sb.sb_instrs));
+      ("trace_stats instrs", ts.Sb.sb_instrs, sb (fun s -> s.Sb.sb_instrs));
+      ("trace_stats execs", ts.Sb.sb_execs, sb (fun s -> s.Sb.sb_execs));
+      ("trace_stats bail irq", ts.Sb.sb_bail_irq,
+       sb (fun s -> s.Sb.sb_bail_irq)) ];
+  (* more than one hart contributed, so a one-hart reading would differ *)
+  Alcotest.(check bool) "every hart ran traces" true
+    (Array.for_all
+       (fun h -> (Sb.stats (Option.get h.Machine.hx_sb)).Sb.sb_instrs > 0)
+       m.Machine.harts)
+
 let () =
   Alcotest.run "smp"
     [ ( "identity",
@@ -471,4 +522,7 @@ let () =
             test_spinlock_slice_invariant;
           Alcotest.test_case "4 harts complete" `Quick test_four_harts_complete;
           Alcotest.test_case "staged fuel" `Quick test_staged_fuel_matches;
-          prop_amo_differential ] ) ]
+          prop_amo_differential ] );
+      ( "telemetry",
+        [ Alcotest.test_case "gauges sum over harts" `Quick
+            test_metrics_sum_harts ] ) ]
