@@ -2,7 +2,13 @@
 
     Non-invasive, like the published tool: the binary under analysis is
     unmodified; the collector subscribes to instruction and memory
-    events and fills a {!Report.t}. *)
+    events and fills a {!Report.t}.
+
+    Retires are cheap: the static facts of an instruction (its pc, the
+    registers it reads and writes, its CSR) are recorded the first time
+    its pc retires it, and later retires only bump a per-pc count.
+    Touched data bytes are kept as per-word bitmasks under the same
+    per-access cap as {!Report.touched_data}. *)
 
 type t
 
@@ -13,4 +19,6 @@ val attach :
 val detach : S4e_cpu.Machine.t -> t -> unit
 
 val report : t -> Report.t
-(** The live report (shared, not a copy). *)
+(** Folds the per-pc counts and touched bytes recorded so far into the
+    collector's report and returns it.  Every call returns the same
+    value, up to date. *)

@@ -221,83 +221,8 @@ let fsqrt_bits st a_bits =
     end
     else bits_of_f32 (sqrt a)
 
-(* Translation-time operator selection: each [*_fn] resolves the
-   sub-opcode match once and returns the operation as a first-class
-   function, so lowered translation blocks pay the dispatch at
-   translate time instead of on every execution.  Each returned
-   function computes exactly what the corresponding [*_op] computes. *)
-
-let alu_fn = function
-  | ADD -> Bits.add
-  | SUB -> Bits.sub
-  | SLL -> Bits.sll
-  | SLT -> fun a b -> if Bits.lt_signed a b then 1 else 0
-  | SLTU -> fun a b -> if Bits.lt_unsigned a b then 1 else 0
-  | XOR -> Bits.logxor
-  | SRL -> Bits.srl
-  | SRA -> Bits.sra
-  | OR -> Bits.logor
-  | AND -> Bits.logand
-  | MUL -> Bits.mul
-  | MULH -> Bits.mulh
-  | MULHSU -> Bits.mulhsu
-  | MULHU -> Bits.mulhu
-  | DIV -> Bits.div
-  | DIVU -> Bits.divu
-  | REM -> Bits.rem
-  | REMU -> Bits.remu
-  | ANDN -> Bits.andn
-  | ORN -> Bits.orn
-  | XNOR -> Bits.xnor
-  | ROL -> Bits.rol
-  | ROR -> Bits.ror
-  | MIN -> Bits.min_signed
-  | MAX -> Bits.max_signed
-  | MINU -> Bits.min_unsigned
-  | MAXU -> Bits.max_unsigned
-  | BSET -> Bits.bset
-  | BCLR -> Bits.bclr
-  | BINV -> Bits.binv
-  | BEXT -> Bits.bext
-
-(* Takes the already sign-extended immediate ([Bits.of_signed imm]),
-   which lowering precomputes. *)
-let imm_fn = function
-  | ADDI -> Bits.add
-  | SLTI -> fun a b -> if Bits.lt_signed a b then 1 else 0
-  | SLTIU -> fun a b -> if Bits.lt_unsigned a b then 1 else 0
-  | XORI -> Bits.logxor
-  | ORI -> Bits.logor
-  | ANDI -> Bits.logand
-
-let shift_fn = function
-  | SLLI -> Bits.sll
-  | SRLI -> Bits.srl
-  | SRAI -> Bits.sra
-  | RORI -> Bits.ror
-  | BSETI -> Bits.bset
-  | BCLRI -> Bits.bclr
-  | BINVI -> Bits.binv
-  | BEXTI -> Bits.bext
-
-let unary_fn = function
-  | CLZ -> Bits.clz
-  | CTZ -> Bits.ctz
-  | CPOP -> Bits.popcount
-  | SEXT_B -> Bits.sext ~width:8
-  | SEXT_H -> Bits.sext ~width:16
-  | ZEXT_H -> Bits.zext ~width:16
-  | REV8 -> Bits.rev8
-  | ORC_B -> Bits.orc_b
-
-let branch_fn = function
-  | BEQ -> fun a b -> a = b
-  | BNE -> fun a b -> a <> b
-  | BLT -> Bits.lt_signed
-  | BGE -> Bits.ge_signed
-  | BLTU -> Bits.lt_unsigned
-  | BGEU -> Bits.ge_unsigned
-
+(* Translation-time AMO selection for the lowered engine: resolves the
+   sub-opcode match once and returns what [amo_op] computes. *)
 let amo_fn = function
   | AMOSWAP -> fun _ v -> v
   | AMOADD -> Bits.add

@@ -27,20 +27,13 @@ val execute :
     The block-lowering pipeline ({!Lower}) compiles decoded
     instructions into closures at translate time.  The helpers below
     expose the executor's per-format semantics so the lowered closures
-    compute bit-identical results; the [*_fn] selectors resolve the
-    sub-opcode dispatch once and return the operation as a first-class
+    compute bit-identical results ({!Reg_kernel} covers the integer
+    register and branch forms); [amo_fn] resolves the sub-opcode
+    dispatch once and returns the operation as a first-class
     function. *)
 
 type word = int
 
-val alu_fn : S4e_isa.Instr.op_r -> word -> word -> word
-val imm_fn : S4e_isa.Instr.op_i -> word -> word -> word
-(** Second argument is the sign-extended immediate
-    ([Bits.of_signed imm]). *)
-
-val shift_fn : S4e_isa.Instr.op_shift -> word -> int -> word
-val unary_fn : S4e_isa.Instr.op_unary -> word -> word
-val branch_fn : S4e_isa.Instr.op_branch -> word -> word -> bool
 val amo_fn : S4e_isa.Instr.op_amo -> word -> word -> word
 
 val load_value : S4e_mem.Bus.t -> S4e_isa.Instr.op_load -> word -> word

@@ -58,9 +58,9 @@ let clear t =
   t.block <- [];
   t.trap <- []
 
-let has_insn t = t.insn <> []
-let has_mem t = t.mem <> []
-let has_block t = t.block <> []
+let has_insn t = t.insn != []
+let has_mem t = t.mem != []
+let has_block t = t.block != []
 
 let is_empty t =
   t.insn == [] && t.mem == [] && t.block == [] && t.trap == []

@@ -94,21 +94,12 @@ let lower_instr ctx ~pc ~size instr =
   let cn, ct = Timing_model.costs ctx.lx_timing instr in
   (* [exec] must mirror [Exec.execute] arch-effect for arch-effect —
      the differential property tests in test_lowered.ml enforce the
-     equivalence on random programs. *)
+     equivalence on random programs.  Register-only instructions and
+     branches are {!Reg_kernel} kernels. *)
   let exec : unit -> int =
     match instr with
-    | Lui (rd, imm20) ->
-        let v = imm20 lsl 12 in
-        fun () ->
-          set rd v;
-          st.pc <- next;
-          cn
-    | Auipc (rd, imm20) ->
-        let v = Bits.add pc (imm20 lsl 12) in
-        fun () ->
-          set rd v;
-          st.pc <- next;
-          cn
+    | Lui _ | Auipc _ | Op_imm _ | Shift_imm _ | Op _ | Unary _ ->
+        Reg_kernel.value (Reg_kernel.Fall (st, next, cn)) st ~pc instr
     | Jal (rd, off) ->
         let target = Bits.add pc (Bits.of_signed off) in
         fun () ->
@@ -123,17 +114,9 @@ let lower_instr ctx ~pc ~size instr =
           st.pc <- target;
           cn
     | Branch (op, rs1, rs2, off) ->
-        let cond = Exec.branch_fn op in
         let target = Bits.add pc (Bits.of_signed off) in
-        fun () ->
-          if cond (get rs1) (get rs2) then begin
-            st.pc <- target;
-            ct
-          end
-          else begin
-            st.pc <- next;
-            cn
-          end
+        Reg_kernel.branch (Reg_kernel.Goto (st, target, ct, next, cn)) st op
+          ~rs1 ~rs2
     | Load (op, rd, base, imm) ->
         let b = Bits.of_signed imm in
         let load = load_fn bus op in
@@ -151,31 +134,6 @@ let lower_instr ctx ~pc ~size instr =
           if addr < dev_limit then flush_time ();
           write addr (get src);
           notify_store addr;
-          st.pc <- next;
-          cn
-    | Op_imm (op, rd, rs1, imm) ->
-        let f = Exec.imm_fn op in
-        let b = Bits.of_signed imm in
-        fun () ->
-          set rd (f (get rs1) b);
-          st.pc <- next;
-          cn
-    | Shift_imm (op, rd, rs1, sh) ->
-        let f = Exec.shift_fn op in
-        fun () ->
-          set rd (f (get rs1) sh);
-          st.pc <- next;
-          cn
-    | Op (op, rd, rs1, rs2) ->
-        let f = Exec.alu_fn op in
-        fun () ->
-          set rd (f (get rs1) (get rs2));
-          st.pc <- next;
-          cn
-    | Unary (op, rd, rs1) ->
-        let f = Exec.unary_fn op in
-        fun () ->
-          set rd (f (get rs1));
           st.pc <- next;
           cn
     | Fence | Fence_i | Wfi ->

@@ -7,7 +7,8 @@
 
     - the executor dispatch (including sub-opcode selection, immediate
       sign-extension, and branch/jump target arithmetic) is resolved
-      into a closure per instruction;
+      into a closure per instruction; integer register instructions
+      and branches are {!Reg_kernel} kernels;
     - the {!Timing_model} cost is precomputed for both branch outcomes;
     - the load-use hazard source set is baked into an int bitmask
       ({!S4e_isa.Instr.source_mask});

@@ -75,6 +75,9 @@ type watchpoint = {
    superblock engine over the shared bus. *)
 type hart = {
   hx_id : int;
+  hx_clint_hart : int option;
+      (* [Some hx_id], built once: the CLINT accessors take the hart as
+         an optional argument, and interrupt sampling allocates nothing *)
   hx_state : Arch_state.t;
   hx_tb : Tb_cache.t;
   hx_lower : Lower.ctx;
@@ -173,18 +176,18 @@ let meip_now t hid =
 
 (* Level-sampled mip for an arbitrary hart, valid at block boundaries
    (batched cycles drained). *)
-let mip_bits t hid =
+let mip_bits t h =
+  let hart = h.hx_clint_hart in
   let mip = ref 0 in
-  if Soc.Clint.timer_pending ~hart:hid t.clint then mip := !mip lor mtip_bit;
-  if Soc.Clint.software_pending ~hart:hid t.clint then
-    mip := !mip lor msip_bit;
-  if meip_now t hid then mip := !mip lor meip_bit;
+  if Soc.Clint.timer_pending ?hart t.clint then mip := !mip lor mtip_bit;
+  if Soc.Clint.software_pending ?hart t.clint then mip := !mip lor msip_bit;
+  if meip_now t h.hx_id then mip := !mip lor meip_bit;
   !mip
 
 (* Level-sampled mip from the interrupt sources: the CLINT compares
    (recomputed eagerly — mtimecmp may move in either direction) and the
    wheel's aggregated device lines as MEIP. *)
-let compute_mip t h = h.hx_state.Arch_state.mip <- mip_bits t h.hx_id
+let compute_mip t h = h.hx_state.Arch_state.mip <- mip_bits t h
 
 (* Interrupt sampling point (block boundaries, wfi): consult the
    wheel's single [next_deadline] word, run any due device events —
@@ -215,8 +218,9 @@ let update_mip t h =
     if meip_now t hid then mip := !mip lor meip_bit;
     due
   in
-  if now >= Soc.Clint.timecmp ~hart:hid clint then mip := !mip lor mtip_bit;
-  if Soc.Clint.software_pending ~hart:hid clint then mip := !mip lor msip_bit;
+  let hart = h.hx_clint_hart in
+  if now >= Soc.Clint.timecmp ?hart clint then mip := !mip lor mtip_bit;
+  if Soc.Clint.software_pending ?hart clint then mip := !mip lor msip_bit;
   h.hx_state.Arch_state.mip <- !mip;
   fired
 
@@ -379,7 +383,8 @@ let create ?(config = default_config) () =
         lx_notify_store = notify_store;
         lx_dev_limit = Soc.Memory_map.ram_base; lx_stuck = None }
     in
-    { hx_id = i; hx_state = state; hx_tb = tb; hx_lower = lower_ctx;
+    { hx_id = i; hx_clint_hart = Some i; hx_state = state; hx_tb = tb;
+      hx_lower = lower_ctx;
       hx_sb = None; hx_llm = 0; hx_parked = false }
   in
   let harts = Array.init nharts mk_hart in
@@ -753,10 +758,6 @@ let load_string t addr s =
   S4e_mem.Sparse_mem.load_bytes (Bus.ram t.bus) addr s;
   Array.iter (fun h -> Tb_cache.flush h.hx_tb) t.harts
 
-let misaligned_pc t pc =
-  if List.mem Isa_module.C t.config.isa then pc land 1 <> 0
-  else pc land 3 <> 0
-
 (* Execute at most [fuel] instructions on hart [h].  A single-hart
    machine calls it directly with the full fuel; the SMP scheduler
    below feeds it one slice at a time. *)
@@ -764,6 +765,8 @@ let run_slice t h ~fuel =
   let state = h.hx_state and tb = h.hx_tb and lower_ctx = h.hx_lower in
   let timing = t.config.timing in
   let compressed = List.mem Isa_module.C t.config.isa in
+  (* instruction alignment: 2 bytes with C, 4 without *)
+  let pc_align = if compressed then 1 else 3 in
   let remaining = t.fuel_left in
   remaining := fuel;
   let exit_dirty = t.exit_dirty in
@@ -778,6 +781,8 @@ let run_slice t h ~fuel =
     if ev.Hooks.mem_is_store then notify_store ev.Hooks.mem_addr;
     if Hooks.has_mem t.hooks then Hooks.fire_mem t.hooks ev
   in
+  (* built once: passing [~on_mem] per instruction would allocate *)
+  let on_mem = Some on_mem in
   (* load-use stall, charged against the hart's [hx_llm] window *)
   let hazard = timing.Timing_model.load_use_hazard in
   (* Stop on a pending syscon exit code; the dirty flag is set by the
@@ -902,7 +907,7 @@ let run_slice t h ~fuel =
          else 0
        in
        (match rcd with Some _ -> pre_mem instr | None -> ());
-       let taken = Exec.execute ~on_mem state t.bus ~size instr in
+       let taken = Exec.execute ?on_mem state t.bus ~size instr in
        (match lower_ctx.Lower.lx_stuck with
        | Some sk -> Lower.force state sk
        | None -> ());
@@ -1087,7 +1092,7 @@ let run_slice t h ~fuel =
      dispatch loop. *)
   let at_boundary = ref true in
   let block_len = ref 0 in
-  let prev = ref None in
+  let prev = ref Tb_cache.no_entry in
   (* Traps raised at dispatch (misaligned pc, undecodable word) consume
      fuel like any attempted instruction even though nothing retires: a
      corrupted mtvec pointing at untranslatable memory re-traps
@@ -1113,7 +1118,7 @@ let run_slice t h ~fuel =
         block_len := 0
       end;
       let pc = state.pc in
-      if misaligned_pc t pc then begin
+      if pc land pc_align <> 0 then begin
         at_boundary := true;
         fetch_trap_or_stop Trap.Misaligned_fetch pc
       end
@@ -1122,7 +1127,7 @@ let run_slice t h ~fuel =
           if chained then Tb_cache.next tb !prev pc
           else Tb_cache.lookup tb pc
         in
-        prev := Some entry;
+        prev := entry;
         let n = Array.length entry.Tb_cache.instrs in
         if n = 0 then begin
           let word = Bus.fetch32 t.bus pc in
@@ -1143,7 +1148,7 @@ let run_slice t h ~fuel =
                       Superblock.exec s tr;
                       (* the trace left the chain path; don't patch a
                          bogus head -> exit-target link *)
-                      prev := None
+                      prev := Tb_cache.no_entry
                   | Tb_cache.No_attachment ->
                       if c land promote_mask = 0 then
                         Superblock.maybe_promote s entry;
@@ -1207,7 +1212,7 @@ let run_slice t h ~fuel =
 let hart_runnable t h =
   (not h.hx_parked)
   ||
-  let bits = mip_bits t h.hx_id in
+  let bits = mip_bits t h in
   h.hx_state.Arch_state.mip <- bits;
   if h.hx_state.Arch_state.mie land bits <> 0 then begin
     h.hx_parked <- false;

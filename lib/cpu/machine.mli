@@ -124,6 +124,9 @@ type watchpoint = {
     and superblock engine over the shared bus. *)
 type hart = {
   hx_id : int;
+  hx_clint_hart : int option;
+      (** [Some hx_id]: the CLINT accessors' [?hart] argument, built once
+          so that interrupt sampling allocates nothing *)
   hx_state : Arch_state.t;
   hx_tb : Tb_cache.t;
   hx_lower : Lower.ctx;

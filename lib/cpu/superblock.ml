@@ -159,16 +159,13 @@ let edge_to (cur : Tb_cache.entry) (dst_pc : word) =
       (* block cut at max length / before an undecodable word *)
       if Bits.mask32 (tpc + tsize) = dst_pc then Some (Uncond dst_pc) else None
 
-(* Follow the hotter of the two chain links, if hot enough. *)
+(* Follow the hotter of the two chain links, if hot enough (an empty
+   link holds the dead sentinel). *)
 let hot_successor t (e : Tb_cache.entry) =
   let a = e.Tb_cache.link_a and ah = e.Tb_cache.link_a_hits in
   let b = e.Tb_cache.link_b and bh = e.Tb_cache.link_b_hits in
-  let pick l h =
-    match l with
-    | Some (d : Tb_cache.entry) when h >= t.min_edge_hits && not d.Tb_cache.dead
-      ->
-        Some d
-    | _ -> None
+  let pick (d : Tb_cache.entry) h =
+    if h >= t.min_edge_hits && not d.Tb_cache.dead then Some d else None
   in
   if ah >= bh then match pick a ah with Some d -> Some d | None -> pick b bh
   else match pick b bh with Some d -> Some d | None -> pick a ah
@@ -195,32 +192,6 @@ let dest_of = function
 let const_of ~pc = function
   | Lui (_, imm20) -> Some (Bits.mask32 (imm20 lsl 12))
   | Auipc (_, imm20) -> Some (Bits.add pc (imm20 lsl 12))
-  | _ -> None
-
-(* ALU value producers usable as the first half of a fused pair: the
-   computation as a closure, evaluated with fresh register reads. *)
-let alu_value ~pc instr st =
-  let get r = Arch_state.get_reg st r in
-  match instr with
-  | Lui (_, imm20) ->
-      let v = Bits.mask32 (imm20 lsl 12) in
-      Some (fun () -> v)
-  | Auipc (_, imm20) ->
-      let v = Bits.add pc (imm20 lsl 12) in
-      Some (fun () -> v)
-  | Op_imm (op, _, rs1, imm) ->
-      let f = Exec.imm_fn op in
-      let b = Bits.of_signed imm in
-      Some (fun () -> f (get rs1) b)
-  | Shift_imm (op, _, rs1, sh) ->
-      let f = Exec.shift_fn op in
-      Some (fun () -> f (get rs1) sh)
-  | Op (op, _, rs1, rs2) ->
-      let f = Exec.alu_fn op in
-      Some (fun () -> f (get rs1) (get rs2))
-  | Unary (op, _, rs1) ->
-      let f = Exec.unary_fn op in
-      Some (fun () -> f (get rs1))
   | _ -> None
 
 let align_mask_load = function LB | LBU -> 0 | LH | LHU -> 1 | LW -> 3
@@ -301,11 +272,8 @@ let compile t (path : Tb_cache.entry array) =
         when rd > 0 && base = rd && straight b
              && Bits.add v (Bits.of_signed imm) land align_mask_store op = 0 ->
           true
-      (* alu ; beq/bne/…  ->  compute+compare+guard in one µop *)
-      | _, rd, Branch _ when rd >= 0 && guardable b -> (
-          match alu_value ~pc:a.upc a.uin st with
-          | Some _ -> true
-          | None -> false)
+      (* alu ; beq/bne/…  ->  compute, compare and guard in one item *)
+      | _, rd, Branch _ when rd >= 0 && guardable b -> true
       | _ -> false
     in
     if fuse then begin
@@ -481,37 +449,8 @@ let compile t (path : Tb_cache.entry array) =
   and build_straight k u next =
     let retire_here = r_before.(k) in
     match u.uin with
-    | Lui (rd, imm20) ->
-        let v = Bits.mask32 (imm20 lsl 12) in
-        fun () ->
-          set rd v;
-          next ()
-    | Auipc (rd, imm20) ->
-        let v = Bits.add u.upc (imm20 lsl 12) in
-        fun () ->
-          set rd v;
-          next ()
-    | Op_imm (op, rd, rs1, imm) ->
-        let f = Exec.imm_fn op in
-        let b = Bits.of_signed imm in
-        fun () ->
-          set rd (f (get rs1) b);
-          next ()
-    | Shift_imm (op, rd, rs1, sh) ->
-        let f = Exec.shift_fn op in
-        fun () ->
-          set rd (f (get rs1) sh);
-          next ()
-    | Op (op, rd, rs1, rs2) ->
-        let f = Exec.alu_fn op in
-        fun () ->
-          set rd (f (get rs1) (get rs2));
-          next ()
-    | Unary (op, rd, rs1) ->
-        let f = Exec.unary_fn op in
-        fun () ->
-          set rd (f (get rs1));
-          next ()
+    | Lui _ | Auipc _ | Op_imm _ | Shift_imm _ | Op _ | Unary _ ->
+        Reg_kernel.value (Reg_kernel.Next next) st ~pc:u.upc u.uin
     | Load (op, rd, base, imm) ->
         let b = Bits.of_signed imm in
         let amask = align_mask_load op in
@@ -634,30 +573,18 @@ let compile t (path : Tb_cache.entry array) =
           sx.sx_notify_store addr;
           checked ()
     | _, Branch (op, brs1, brs2, _) -> (
-        (* alu + conditional terminal: the computed value feeds the
-           comparison through an OCaml local when the branch reads it *)
-        let av =
-          match alu_value ~pc:a.upc a.uin st with
-          | Some f -> f
-          | None -> assert false
-        in
-        let cond = Exec.branch_fn op in
-        (* x0 never forwards the computed value: reads of it stay 0 *)
-        let u1 = rd <> 0 && brs1 = rd and u2 = rd <> 0 && brs2 = rd in
+        (* alu + conditional terminal: the ALU kernel runs straight
+           into the guard's branch kernel *)
         match b.uterm with
         | Some (Br_to (expected, other)) ->
-            let k_cont = build_guard_cont (k + 1) b in
-            let bail =
-              guard_bail (k + 1) b ~other ~llm:0 ~retire:(r_before.(k) + 2)
+            let guard =
+              guard_branch op ~rs1:brs1 ~rs2:brs2 ~expected
+                ~cont:(build_guard_cont (k + 1) b)
+                ~bail:
+                  (guard_bail (k + 1) b ~other ~llm:0
+                     ~retire:(r_before.(k) + 2))
             in
-            fun () ->
-              let v = av () in
-              set rd v;
-              if
-                cond (if u1 then v else get brs1) (if u2 then v else get brs2)
-                = expected
-              then k_cont ()
-              else bail ()
+            Reg_kernel.value (Reg_kernel.Next guard) st ~pc:a.upc a.uin
         | _ -> assert false)
     | _ -> assert false
   (* continue past a guarded terminal at unit j: sync the boundary
@@ -692,6 +619,14 @@ let compile t (path : Tb_cache.entry array) =
       pending := !pending + bsync;
       bnd ()
     else bnd
+  (* a guarded branch terminal: continue the trace in the expected
+     direction, bail in the other *)
+  and guard_branch op ~rs1 ~rs2 ~expected ~cont ~bail =
+    let fk =
+      if expected then Reg_kernel.Either (cont, bail)
+      else Reg_kernel.Either (bail, cont)
+    in
+    Reg_kernel.branch fk st op ~rs1 ~rs2
   (* bail when a guarded terminal goes the unexpected way: charge the
      other-direction cost instead of the expected one *)
   and guard_bail j u ~other ~llm ~retire =
@@ -737,13 +672,8 @@ let compile t (path : Tb_cache.entry array) =
             ex ()
           end
     | Br_to (expected, other), Branch (op, rs1, rs2, _) ->
-        let cond = Exec.branch_fn op in
-        let cont = build_guard_cont k u in
-        let bail =
-          guard_bail k u ~other ~llm:0 ~retire:(r_before.(k) + 1)
-        in
-        fun () ->
-          if cond (get rs1) (get rs2) = expected then cont () else bail ()
+        guard_branch op ~rs1 ~rs2 ~expected ~cont:(build_guard_cont k u)
+          ~bail:(guard_bail k u ~other ~llm:0 ~retire:(r_before.(k) + 1))
     | _ -> assert false
   (* ---- the final block's terminal: full per-block semantics ---- *)
   and build_final k =
@@ -777,29 +707,24 @@ let compile t (path : Tb_cache.entry array) =
           charge cn;
           done_ ()
     | Branch (op, rs1, rs2, off) ->
-        let cond = Exec.branch_fn op in
-        let taken = Bits.add u.upc (Bits.of_signed off) in
-        let ft = Bits.mask32 (u.upc + u.usize) in
-        fun () ->
-          if pre <> 0 then pending := !pending + pre;
-          if cond (get rs1) (get rs2) then begin
-            st.pc <- taken;
-            charge ct
-          end
-          else begin
-            st.pc <- ft;
-            charge cn
-          end;
+        (* the compare observes no time, so [pre] joins each direction's
+           charge *)
+        let leave pc c () =
+          pending := !pending + pre + c + stall_k;
+          st.pc <- pc;
           done_ ()
+        in
+        let taken = leave (Bits.add u.upc (Bits.of_signed off)) ct in
+        let ft = leave (Bits.mask32 (u.upc + u.usize)) cn in
+        Reg_kernel.branch (Reg_kernel.Either (taken, ft)) st op ~rs1 ~rs2
     | Lui _ | Auipc _ | Op_imm _ | Shift_imm _ | Op _ | Unary _ ->
-        let body = build_straight k u (fun () -> ()) in
         let next_pc = Bits.mask32 (u.upc + u.usize) in
-        fun () ->
-          if pre <> 0 then pending := !pending + pre;
-          body ();
+        let leave () =
+          pending := !pending + pre + cn + stall_k;
           st.pc <- next_pc;
-          charge cn;
           done_ ()
+        in
+        Reg_kernel.value (Reg_kernel.Next leave) st ~pc:u.upc u.uin
     | Load (op, rd, base, imm) ->
         let b = Bits.of_signed imm in
         let amask = align_mask_load op in

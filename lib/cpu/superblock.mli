@@ -12,8 +12,9 @@
       expected path (no [pc] writes until a side exit or completion);
     - fold [lui]/[auipc]+[addi] and [lui]/[auipc]+load/store pairs into
       constant stores / constant-address accesses;
-    - fuse an ALU op with a consuming branch terminal, forwarding the
-      computed value through an OCaml local;
+    - fuse an ALU op with a consuming branch terminal into one item,
+      whose register kernel runs straight into the guard's branch
+      kernel ({!Reg_kernel}, shared with the lowered engine);
     - batch cycle charges into static per-segment constants, synced
       only where time is observable (device-space accesses, block
       boundaries, exits); instret/fuel are credited with a single

@@ -33,10 +33,11 @@ type entry = {
      entry pc (-1 when empty); [incoming] records entries whose links
      may point here so invalidation can sever them.  [link_*_hits]
      count traversals of each link so trace promotion can follow real
-     edge heat rather than the global chain-hit total. *)
-  mutable link_a : entry option;
+     edge heat rather than the global chain-hit total.  An empty link
+     holds [no_entry]. *)
+  mutable link_a : entry;
   mutable link_a_pc : word;
-  mutable link_b : entry option;
+  mutable link_b : entry;
   mutable link_b_pc : word;
   mutable link_a_hits : int;
   mutable link_b_hits : int;
@@ -45,8 +46,22 @@ type entry = {
   mutable attach : attachment;
 }
 
+(* The dead sentinel: an empty chain link, and the "no previous block"
+   argument of [next].  It is born dead, so nothing ever links to it,
+   executes it or mutates it, and its pc (-1) matches no fetch. *)
+let rec no_entry =
+  { block_pc = -1; instrs = [||]; total_size = 0; lowered = None;
+    dead = true; link_a = no_entry; link_a_pc = -1; link_b = no_entry;
+    link_b_pc = -1; link_a_hits = 0; link_b_hits = 0; incoming = [];
+    exec_count = 0; attach = No_attachment }
+
 type t = {
   table : (word, entry) Hashtbl.t;
+  jump : entry array;
+      (* direct-mapped jump cache in front of [table] (QEMU's
+         tb_jmp_cache): slot [jump_slot pc] holds the last entry looked
+         up there, or [no_entry]; a slot answers only for a live entry
+         of the same pc *)
   pages : (int, entry list ref) Hashtbl.t;
       (* page index (addr lsr page_shift) -> blocks overlapping it *)
   decode32 : word -> S4e_isa.Instr.t option;
@@ -69,14 +84,23 @@ type t = {
 
 let max_block_len = 64
 
+let jump_slots = 1024
+let jump_mask = jump_slots - 1
+
+(* pcs are at least 2-byte aligned *)
+let jump_slot pc = (pc lsr 1) land jump_mask
+
 (* Invalidation granularity.  256-byte pages keep the per-store lookup
    cheap while bounding collateral invalidation to a few blocks (a
    block spans at most [4 * max_block_len] bytes = 2 pages, plus one
    for misalignment). *)
 let page_shift = 8
 
+(* The table starts small: the jump cache answers most lookups, and a
+   machine that runs briefly should not pay for both arrays. *)
 let create ~decode32 ~decode16 ~fetch32 ~fetch16 () =
-  { table = Hashtbl.create 1024; pages = Hashtbl.create 256; decode32;
+  { table = Hashtbl.create 256; jump = Array.make jump_slots no_entry;
+    pages = Hashtbl.create 256; decode32;
     decode16; fetch32; fetch16; code_lo = max_int; code_hi = 0; hits = 0;
     misses = 0; chain_hits = 0; invalidations = 0;
     on_kill = (fun _ -> ()); on_flush = (fun () -> ()) }
@@ -119,7 +143,7 @@ let translate t pc =
     Array.fold_left (fun acc (_, size, _) -> acc + size) 0 instrs
   in
   { block_pc = pc; instrs; total_size; lowered = None; dead = false;
-    link_a = None; link_a_pc = -1; link_b = None; link_b_pc = -1;
+    link_a = no_entry; link_a_pc = -1; link_b = no_entry; link_b_pc = -1;
     link_a_hits = 0; link_b_hits = 0; incoming = []; exec_count = 0;
     attach = No_attachment }
 
@@ -149,16 +173,14 @@ let unregister_pages t e =
 let sever_incoming e =
   List.iter
     (fun src ->
-      (match src.link_a with
-      | Some x when x == e ->
-          src.link_a <- None;
-          src.link_a_pc <- -1
-      | _ -> ());
-      match src.link_b with
-      | Some x when x == e ->
-          src.link_b <- None;
-          src.link_b_pc <- -1
-      | _ -> ())
+      if src.link_a == e then begin
+        src.link_a <- no_entry;
+        src.link_a_pc <- -1
+      end;
+      if src.link_b == e then begin
+        src.link_b <- no_entry;
+        src.link_b_pc <- -1
+      end)
     e.incoming;
   e.incoming <- []
 
@@ -175,70 +197,80 @@ let kill t e =
     | Some cur when cur == e -> Hashtbl.remove t.table e.block_pc
     | Some _ | None -> ());
     unregister_pages t e;
-    e.link_a <- None;
+    e.link_a <- no_entry;
     e.link_a_pc <- -1;
-    e.link_b <- None;
+    e.link_b <- no_entry;
     e.link_b_pc <- -1;
     sever_incoming e
   end
 
+(* The jump cache answers every hit it can without hashing; the table
+   behind it counts hits and misses exactly as a table-only lookup
+   would, since a slot only ever holds an entry the table also holds
+   (every entry leaves the table by dying). *)
+let lookup_table t pc slot =
+  let e =
+    match Hashtbl.find_opt t.table pc with
+    | Some e ->
+        t.hits <- t.hits + 1;
+        e
+    | None ->
+        t.misses <- t.misses + 1;
+        let e = translate t pc in
+        Hashtbl.replace t.table pc e;
+        register_pages t e;
+        if pc < t.code_lo then t.code_lo <- pc;
+        if pc + span e > t.code_hi then t.code_hi <- pc + span e;
+        e
+  in
+  Array.unsafe_set t.jump slot e;
+  e
+
 let lookup t pc =
-  match Hashtbl.find_opt t.table pc with
-  | Some e ->
-      t.hits <- t.hits + 1;
-      e
-  | None ->
-      t.misses <- t.misses + 1;
-      let e = translate t pc in
-      Hashtbl.replace t.table pc e;
-      register_pages t e;
-      if pc < t.code_lo then t.code_lo <- pc;
-      if pc + span e > t.code_hi then t.code_hi <- pc + span e;
-      e
+  let slot = jump_slot pc in
+  let e = Array.unsafe_get t.jump slot in
+  if e.block_pc = pc && not e.dead then begin
+    t.hits <- t.hits + 1;
+    e
+  end
+  else lookup_table t pc slot
 
 (* Chained successor lookup: follow [prev]'s direct links before
-   touching the hashtable; patch the link on a miss.  Links are only
+   touching the cache; patch the link on a miss.  Links are only
    followed from (and patched on) live entries, so an invalidation
-   during [prev]'s execution safely degrades to a table lookup. *)
+   during [prev]'s execution — or the [no_entry] sentinel — safely
+   degrades to a plain lookup.  An empty link's pc (-1) never matches. *)
 let next t prev pc =
-  match prev with
-  | Some p when not p.dead ->
-      if p.link_a_pc = pc then begin
-        match p.link_a with
-        | Some e ->
-            t.chain_hits <- t.chain_hits + 1;
-            p.link_a_hits <- p.link_a_hits + 1;
-            e
-        | None -> lookup t pc
-      end
-      else if p.link_b_pc = pc then begin
-        match p.link_b with
-        | Some e ->
-            t.chain_hits <- t.chain_hits + 1;
-            p.link_b_hits <- p.link_b_hits + 1;
-            e
-        | None -> lookup t pc
-      end
-      else begin
-        let e = lookup t pc in
-        (if not e.dead then
-           if p.link_a = None then begin
-             p.link_a <- Some e;
-             p.link_a_pc <- pc;
-             p.link_a_hits <- 0;
-             e.incoming <- p :: e.incoming
-           end
-           else begin
-             (* keep slot a (typically the loop back-edge seen first),
-                recycle slot b *)
-             p.link_b <- Some e;
-             p.link_b_pc <- pc;
-             p.link_b_hits <- 0;
-             e.incoming <- p :: e.incoming
-           end);
-        e
-      end
-  | Some _ | None -> lookup t pc
+  if prev.dead then lookup t pc
+  else if prev.link_a_pc = pc then begin
+    t.chain_hits <- t.chain_hits + 1;
+    prev.link_a_hits <- prev.link_a_hits + 1;
+    prev.link_a
+  end
+  else if prev.link_b_pc = pc then begin
+    t.chain_hits <- t.chain_hits + 1;
+    prev.link_b_hits <- prev.link_b_hits + 1;
+    prev.link_b
+  end
+  else begin
+    let e = lookup t pc in
+    (if not e.dead then
+       if prev.link_a_pc < 0 then begin
+         prev.link_a <- e;
+         prev.link_a_pc <- pc;
+         prev.link_a_hits <- 0;
+         e.incoming <- prev :: e.incoming
+       end
+       else begin
+         (* keep slot a (typically the loop back-edge seen first),
+            recycle slot b *)
+         prev.link_b <- e;
+         prev.link_b_pc <- pc;
+         prev.link_b_hits <- 0;
+         e.incoming <- prev :: e.incoming
+       end);
+    e
+  end
 
 let flush t =
   t.on_flush ();
@@ -248,6 +280,7 @@ let flush t =
       e.attach <- No_attachment)
     t.table;
   Hashtbl.reset t.table;
+  Array.fill t.jump 0 (Array.length t.jump) no_entry;
   Hashtbl.reset t.pages;
   t.code_lo <- max_int;
   t.code_hi <- 0
@@ -308,14 +341,10 @@ let hot_edges ?(min_hits = 1) t =
   let acc = ref [] in
   Hashtbl.iter
     (fun _ e ->
-      (match e.link_a with
-      | Some dst when e.link_a_hits >= min_hits ->
-          acc := (e.block_pc, dst.block_pc, e.link_a_hits) :: !acc
-      | _ -> ());
-      match e.link_b with
-      | Some dst when e.link_b_hits >= min_hits ->
-          acc := (e.block_pc, dst.block_pc, e.link_b_hits) :: !acc
-      | _ -> ())
+      if e.link_a_pc >= 0 && e.link_a_hits >= min_hits then
+        acc := (e.block_pc, e.link_a_pc, e.link_a_hits) :: !acc;
+      if e.link_b_pc >= 0 && e.link_b_hits >= min_hits then
+        acc := (e.block_pc, e.link_b_pc, e.link_b_hits) :: !acc)
     t.table;
   List.sort
     (fun (sa, da, ha) (sb, db, hb) ->

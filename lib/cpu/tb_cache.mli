@@ -14,7 +14,11 @@
       form is cached on the entry.
     - {b Chaining}: each entry carries up to two direct links to
       successor entries, patched on first successor lookup ({!next}),
-      so straight-line and loop code bypasses the hashtable.
+      so straight-line and loop code bypasses the lookup entirely.
+
+    Every lookup first probes a direct-mapped jump cache of
+    {!jump_slots} slots (QEMU's [tb_jmp_cache]); only its misses hash
+    into the table behind it.
 
     Stores into cached code invalidate at page granularity: only blocks
     overlapping the written word die, and every chain link pointing at
@@ -52,9 +56,9 @@ type entry = {
   mutable lowered : uop array option;
       (** lazily compiled µop form (hook-free fast path) *)
   mutable dead : bool;  (** invalidated; never executed or linked again *)
-  mutable link_a : entry option;
-  mutable link_a_pc : word;
-  mutable link_b : entry option;
+  mutable link_a : entry;  (** {!no_entry} when empty *)
+  mutable link_a_pc : word;  (** [-1] when empty *)
+  mutable link_b : entry;
   mutable link_b_pc : word;
   mutable link_a_hits : int;  (** traversals of link a ({!next} chain hits) *)
   mutable link_b_hits : int;  (** traversals of link b *)
@@ -65,9 +69,17 @@ type entry = {
   mutable attach : attachment;  (** reset to {!No_attachment} on kill *)
 }
 
+val no_entry : entry
+(** The dead sentinel: the value of an empty link, and the [prev] of a
+    dispatch that follows no block.  It is never returned by a lookup
+    and never mutated. *)
+
 type t
 
 val max_block_len : int
+
+val jump_slots : int
+(** Size of the per-cache jump cache (a power of two). *)
 
 val create :
   decode32:(word -> S4e_isa.Instr.t option) ->
@@ -84,12 +96,12 @@ val lookup : t -> word -> entry
     word at [pc] does not decode (the machine raises an illegal
     instruction trap). *)
 
-val next : t -> entry option -> word -> entry
+val next : t -> entry -> word -> entry
 (** [next t prev pc] is [lookup t pc] accelerated by block chaining:
     if [prev] (the block just executed) already links to [pc] the
-    hashtable is bypassed; otherwise the link is patched after the
-    lookup.  Passing [None] — or a [prev] invalidated mid-execution —
-    degrades to a plain lookup. *)
+    lookup is bypassed; otherwise the link is patched after the
+    lookup.  Passing {!no_entry} — or a [prev] invalidated
+    mid-execution — degrades to a plain lookup. *)
 
 val notify_store : t -> word -> unit
 (** Invalidate the blocks overlapping the (at most 4-byte) store at
@@ -117,11 +129,12 @@ val hot_edges : ?min_hits:int -> t -> (word * word * int) list
 
 type stats = {
   st_blocks : int;  (** blocks currently cached *)
-  st_hits : int;  (** hashtable lookups answered from the cache *)
+  st_hits : int;
+      (** lookups answered from the cache (jump cache or table) *)
   st_misses : int;  (** lookups that translated a new block *)
   st_chain_hits : int;
       (** successor lookups answered by a direct link — these bypass
-          the hashtable entirely and are {e not} included in
+          the lookup entirely and are {e not} included in
           [st_hits] *)
   st_invalidations : int;
       (** blocks individually killed by {!notify_store} (flushes not

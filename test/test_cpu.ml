@@ -698,6 +698,139 @@ loop:
     > ts.S4e_cpu.Tb_cache.st_misses * 10);
   Alcotest.(check bool) "chaining engaged" true (chained > 0)
 
+(* The jump cache in front of the TB table.  A table-only model of the
+   cache (the set of pcs with a live entry) predicts every hit and
+   miss; lookups interleave two pcs that share a jump-cache slot and a
+   third in another slot with invalidating stores and flushes.  No
+   lookup may return a dead entry or an entry for another pc, and a
+   killed block must be retranslated. *)
+module Tb = S4e_cpu.Tb_cache
+
+type tb_op = Look of int | Store of int | Flush
+
+let tb_ops_gen =
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (function
+        | Look i -> Printf.sprintf "look %d" i
+        | Store i -> Printf.sprintf "store %d" i
+        | Flush -> "flush"))
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (frequency
+           [ (6, map (fun i -> Look i) (int_bound 2));
+             (2, map (fun i -> Store i) (int_bound 2));
+             (1, return Flush) ]))
+
+let jump_cache_prop =
+  prop "jump cache: live entry of the right pc, table-only counts" tb_ops_gen
+    (fun ops ->
+      let base = 0x8000_0000 in
+      (* pcs 0 and 1 share a slot; pc 2 has its own *)
+      let pcs = [| base; base + (2 * Tb.jump_slots); base + 8 |] in
+      let bus = Bus.create () in
+      let ram = Bus.ram bus in
+      let put pc imm =
+        S4e_mem.Sparse_mem.write32 ram pc
+          (Encode.encode (Instr.Op_imm (Instr.ADDI, 10, 10, imm)));
+        S4e_mem.Sparse_mem.write32 ram (pc + 4)
+          (Encode.encode (Instr.Jal (0, 0)))
+      in
+      Array.iteri (fun i pc -> put pc i) pcs;
+      let tb =
+        Tb.create ~decode32:Decode.decode ~decode16:None
+          ~fetch32:(Bus.fetch32 bus) ~fetch16:(Bus.fetch16 bus) ()
+      in
+      let live = Hashtbl.create 4 and hits = ref 0 and misses = ref 0 in
+      let version = Array.make 3 0 in
+      List.for_all
+        (function
+          | Look i ->
+              let pc = pcs.(i) in
+              if Hashtbl.mem live pc then incr hits
+              else begin
+                incr misses;
+                Hashtbl.replace live pc ()
+              end;
+              let e = Tb.lookup tb pc in
+              let s = Tb.stats tb in
+              (not e.Tb.dead) && e.Tb.block_pc = pc
+              && (match e.Tb.instrs.(0) with
+                 | _, _, Instr.Op_imm (_, _, _, imm) -> imm = i + version.(i)
+                 | _ -> false)
+              && s.Tb.st_hits = !hits
+              && s.Tb.st_misses = !misses
+          | Store i ->
+              let pc = pcs.(i) in
+              version.(i) <- version.(i) + 3;
+              put pc (i + version.(i));
+              Tb.notify_store tb pc;
+              Hashtbl.remove live pc;
+              true
+          | Flush ->
+              Tb.flush tb;
+              Hashtbl.reset live;
+              true)
+        ops)
+
+(* Allocation guard for the hot path.  Once a loop is translated,
+   lowered and promoted, running it allocates nothing per instruction:
+   no option per block dispatch, no [Some hart] per CLINT query, no
+   hash-table probe result, no operator closure.  The loop is branchy
+   (a data-dependent diamond, so superblock guards bail every other
+   iteration and the dispatch loop and lowered blocks run too) and
+   goes through memory.  The bound leaves room for the closures each
+   [Machine.run] call builds and for the superblock engine's periodic
+   promotion attempts (about 0.04 words per instruction here); an
+   allocating dispatch costs well over 0.5. *)
+let test_hot_loop_allocation () =
+  let p =
+    S4e_asm.Assembler.assemble_exn {|
+_start:
+  li   s0, 0
+  li   s1, 40000
+  li   s2, 0
+  la   s3, buf
+loop:
+  andi t0, s0, 1
+  beqz t0, even
+  addi s2, s2, 3
+  j    next
+even:
+  xor  s2, s2, s0
+  sw   s2, 0(s3)
+next:
+  lw   t1, 0(s3)
+  add  s2, s2, t1
+  addi s0, s0, 1
+  bne  s0, s1, loop
+  li   t2, 0x00100000
+  sw   zero, 0(t2)
+  ebreak
+  .data
+buf:
+  .word 0
+|}
+  in
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine p m;
+  (* warm-up: translation, lowering and trace promotion allocate *)
+  (match Machine.run m ~fuel:20_000 with
+  | Machine.Out_of_fuel -> ()
+  | stop -> Alcotest.failf "warm-up: %a" Machine.pp_stop_reason stop);
+  let i0 = Machine.instret m in
+  let w0 = Gc.minor_words () in
+  let stop = Machine.run m ~fuel:1_000_000 in
+  let words = Gc.minor_words () -. w0 in
+  let n = Machine.instret m - i0 in
+  Alcotest.(check int) "loop exits" 0 (exit_code stop);
+  Alcotest.(check bool) "hot loop retires >= 200k instructions" true
+    (n >= 200_000);
+  let per = words /. float_of_int n in
+  if per > 0.1 then
+    Alcotest.failf "%.0f minor words over %d instructions (%.3f each)" words n
+      per
+
 let test_atomics () =
   (* lr/sc success and failure, and a representative amo *)
   let _, stop =
@@ -1154,4 +1287,7 @@ let () =
             test_cache_model_attached;
           snapshot_replay_prop;
           tlb_corners_prop;
-          device_plane_diff_prop ] ) ]
+          device_plane_diff_prop;
+          jump_cache_prop;
+          Alcotest.test_case "hot loop allocates nothing" `Quick
+            test_hot_loop_allocation ] ) ]

@@ -741,6 +741,171 @@ loop:
         [ 0; 1_000; 4_000 ])
     [ (9, 5); (18, 0); (18, 31); (7, 4); (6, 0) ]
 
+(* ---------------- register kernels vs the reference ---------------- *)
+
+(* Every register kernel ({!S4e_cpu.Reg_kernel}) against [Exec.execute]:
+   random operand values, a destination that is x0, the first source or
+   another register, and x0 among the sources.  The lowered µop runs
+   the instruction alone; the trace runs it at the head of a two-block
+   superblock whose first block ends in a [jal] or in a branch reading
+   the kernel's result (the fused ALU+branch item), so the kernel runs
+   inside the trace and a guard may bail.  Both must leave the same
+   registers and pc as stepping [Exec.execute] over as many
+   instructions as they retired. *)
+module Exec = S4e_cpu.Exec
+module Arch_state = S4e_cpu.Arch_state
+module Bus = S4e_mem.Bus
+module Tb_cache = S4e_cpu.Tb_cache
+module Superblock = S4e_cpu.Superblock
+module Lower = S4e_cpu.Lower
+open S4e_isa
+
+type kcase = {
+  kc_instr : Instr.t;
+  kc_regs : int array;  (* initial register file; x0 stays 0 *)
+  kc_branch : (Instr.op_branch * int * int) option;
+      (* first block's terminal: [None] is a jal to the next block *)
+  kc_hot_taken : bool;  (* the direction the trace is built along *)
+}
+
+let kcase_gen =
+  let open QCheck.Gen in
+  let src = frequency [ (1, return 0); (4, int_range 1 31) ] in
+  let* rs1 = src and* rs2 = src and* other = int_range 1 31 in
+  let* rd = oneofl [ 0; rs1; other ] in
+  let* instr =
+    oneof
+      [ map (fun op -> Instr.Op (op, rd, rs1, rs2)) Gen.op_r;
+        map2 (fun op imm -> Instr.Op_imm (op, rd, rs1, imm)) Gen.op_i Gen.imm12;
+        map2 (fun op sh -> Instr.Shift_imm (op, rd, rs1, sh)) Gen.op_shift
+          Gen.shamt;
+        map (fun op -> Instr.Unary (op, rd, rs1)) Gen.op_unary;
+        (* the taken target skips one instruction; see [kernel_program] *)
+        map (fun op -> Instr.Branch (op, rs1, rs2, 8)) Gen.op_branch ]
+  in
+  let word =
+    frequency
+      [ (3, int_bound 0xFFFF_FFFF |> map (fun w -> w land 0xFFFF_FFFF));
+        (1, oneofl [ 0; 1; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF ]) ]
+  in
+  let* regs = array_repeat 32 word in
+  regs.(0) <- 0;
+  let* kc_branch =
+    opt
+      (triple Gen.op_branch (oneofl [ rd; rs1; 0; other ]) (oneofl [ rd; rs2 ]))
+  in
+  let+ kc_hot_taken = bool in
+  { kc_instr = instr; kc_regs = regs; kc_branch; kc_hot_taken }
+
+let print_kcase c =
+  Printf.sprintf "%s; terminal %s; hot %s; regs %s" (Instr.to_string c.kc_instr)
+    (match c.kc_branch with
+    | None -> "jal"
+    | Some (op, a, b) -> Instr.to_string (Instr.Branch (op, a, b, 8)))
+    (if c.kc_hot_taken then "taken" else "not taken")
+    (String.concat "," (Array.to_list (Array.map string_of_int c.kc_regs)))
+
+let kernel_base = 0x8000_0000
+
+(* Layout: [instr] at base; then, for a value instruction, its terminal
+   at base+4 (a jal to base+8, or a branch to base+12); every remaining
+   slot up to base+12 is a [jal x0, 0] (a one-instruction final block).
+   A branch under test is itself the first block's terminal. *)
+let kernel_program c =
+  let bus = Bus.create () in
+  let ram = Bus.ram bus in
+  let put i instr =
+    S4e_mem.Sparse_mem.write32 ram (kernel_base + (4 * i)) (Encode.encode instr)
+  in
+  for i = 1 to 3 do put i (Instr.Jal (0, 0)) done;
+  put 0 c.kc_instr;
+  let head_term =
+    match (c.kc_instr, c.kc_branch) with
+    | Instr.Branch _, _ -> 0
+    | _, None ->
+        put 1 (Instr.Jal (0, 4));
+        1
+    | _, Some (op, a, b) ->
+        put 1 (Instr.Branch (op, a, b, 8));
+        1
+  in
+  (bus, head_term)
+
+let fresh_state c =
+  let st = Arch_state.create ~pc:kernel_base () in
+  Array.iteri (fun i v -> Arch_state.set_reg st i v) c.kc_regs;
+  st
+
+let reference c bus steps =
+  let st = fresh_state c in
+  for _ = 1 to steps do
+    let instr =
+      Option.get (Decode.decode (Bus.fetch32 bus st.Arch_state.pc))
+    in
+    ignore (Exec.execute st bus ~size:4 instr)
+  done;
+  st
+
+let same_state (a : Arch_state.t) (b : Arch_state.t) =
+  a.Arch_state.pc = b.Arch_state.pc && a.Arch_state.regs = b.Arch_state.regs
+
+let lowered_kernel_agrees c =
+  let bus, _ = kernel_program c in
+  let st = fresh_state c in
+  let ctx =
+    { Lower.lx_state = st; lx_bus = bus;
+      lx_timing = S4e_cpu.Timing_model.default; lx_flush_time = ignore;
+      lx_notify_store = ignore; lx_dev_limit = kernel_base; lx_stuck = None }
+  in
+  let u = Lower.lower_instr ctx ~pc:kernel_base ~size:4 c.kc_instr in
+  ignore (u.Tb_cache.u_exec ());
+  same_state st (reference c bus 1)
+
+let trace_kernel_agrees c =
+  let bus, head_term = kernel_program c in
+  let st = fresh_state c in
+  let retired = ref 0 in
+  let sx =
+    { Superblock.sx_state = st; sx_bus = bus;
+      sx_timing = S4e_cpu.Timing_model.default; sx_pending = ref 0;
+      sx_exit_dirty = ref false; sx_flush = ignore;
+      sx_retire = (fun n -> retired := !retired + n);
+      sx_exit_code = (fun () -> None);
+      sx_raise_exited = (fun _ -> failwith "unexpected exit");
+      sx_trap = (fun _ _ _ -> failwith "unexpected trap");
+      sx_irq = (fun () -> false); sx_notify_store = ignore;
+      sx_get_llm = (fun () -> 0); sx_set_llm = ignore;
+      sx_dev_limit = kernel_base }
+  in
+  let tb =
+    Tb_cache.create ~decode32:Decode.decode ~decode16:None
+      ~fetch32:(Bus.fetch32 bus) ~fetch16:(Bus.fetch16 bus) ()
+  in
+  let sb = Superblock.create ~min_edge_hits:1 sx tb in
+  let head = Tb_cache.lookup tb kernel_base in
+  let term_pc = kernel_base + (4 * head_term) in
+  let succ =
+    match Array.get head.Tb_cache.instrs head_term with
+    | _, _, Instr.Branch _ ->
+        if c.kc_hot_taken then term_pc + 8 else term_pc + 4
+    | _ -> term_pc + 4
+  in
+  (* heat the edge: patch the link, then traverse it *)
+  ignore (Tb_cache.next tb head succ);
+  ignore (Tb_cache.next tb head succ);
+  Superblock.maybe_promote sb head;
+  match head.Tb_cache.attach with
+  | Superblock.Trace_head tr ->
+      Superblock.exec sb tr;
+      !retired > 0 && same_state st (reference c bus !retired)
+  | _ -> QCheck.Test.fail_report "head block was not promoted"
+
+let kernel_props =
+  let arb = QCheck.make ~print:print_kcase kcase_gen in
+  [ prop ~count:500 "lowered kernel = Exec.execute" arb lowered_kernel_agrees;
+    prop ~count:500 "kernel in a two-block trace = Exec.execute" arb
+      trace_kernel_agrees ]
+
 let props =
   [ prop "torture: engines agree" seed_gen (torture_agrees ~compress:false);
     prop ~count:15 "torture (compressed): engines agree" seed_gen
@@ -787,4 +952,5 @@ let () =
            test_stuck_hot_loop;
          Alcotest.test_case "restore and reset force again" `Quick
            test_stuck_restore_reset ]);
-      ("torture", props) ]
+      ("torture", props);
+      ("kernels", kernel_props) ]
