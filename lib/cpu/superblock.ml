@@ -126,9 +126,21 @@ let promotable_instr = function
       true
   | _ -> false
 
+(* A loop, not [Array.for_all]: promotion tests blocks on every
+   attempt, and [for_all]'s local loop closure would allocate. *)
 let promotable_block (e : Tb_cache.entry) =
-  Array.length e.Tb_cache.instrs > 0
-  && Array.for_all (fun (_, _, i) -> promotable_instr i) e.Tb_cache.instrs
+  let instrs = e.Tb_cache.instrs in
+  let n = Array.length instrs in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let _, _, instr = Array.unsafe_get instrs !i in
+    promotable_instr instr
+  do
+    incr i
+  done;
+  n > 0 && !i = n
 
 (* How control leaves a constituent block for the next one. *)
 type edge_k =
@@ -159,16 +171,18 @@ let edge_to (cur : Tb_cache.entry) (dst_pc : word) =
       (* block cut at max length / before an undecodable word *)
       if Bits.mask32 (tpc + tsize) = dst_pc then Some (Uncond dst_pc) else None
 
-(* Follow the hotter of the two chain links, if hot enough (an empty
-   link holds the dead sentinel). *)
+(* The hotter of the two chain links, if hot enough; [Tb_cache.no_entry]
+   when neither is (an empty link holds it too, and it is dead). *)
 let hot_successor t (e : Tb_cache.entry) =
   let a = e.Tb_cache.link_a and ah = e.Tb_cache.link_a_hits in
   let b = e.Tb_cache.link_b and bh = e.Tb_cache.link_b_hits in
-  let pick (d : Tb_cache.entry) h =
-    if h >= t.min_edge_hits && not d.Tb_cache.dead then Some d else None
-  in
-  if ah >= bh then match pick a ah with Some d -> Some d | None -> pick b bh
-  else match pick b bh with Some d -> Some d | None -> pick a ah
+  let hot_a = ah >= t.min_edge_hits && not a.Tb_cache.dead in
+  let hot_b = bh >= t.min_edge_hits && not b.Tb_cache.dead in
+  if ah >= bh then
+    if hot_a then a else if hot_b then b else Tb_cache.no_entry
+  else if hot_b then b
+  else if hot_a then a
+  else Tb_cache.no_entry
 
 (* ---------------- trace compilation ---------------- *)
 
@@ -793,33 +807,38 @@ let unattached (e : Tb_cache.entry) =
   | Tb_cache.No_attachment -> true
   | _ -> false
 
+(* Can [dst] follow [cur] on a path of [instrs] instructions?
+   [revisit]: [dst] is already on the path. *)
+let can_extend t (cur : Tb_cache.entry) (dst : Tb_cache.entry) ~instrs
+    ~revisit =
+  instrs + Array.length dst.Tb_cache.instrs <= t.max_instrs
+  && promotable_block dst
+  && (revisit || unattached dst)
+  && Option.is_some (edge_to cur dst.Tb_cache.block_pc)
+
+(* A block whose first step cannot extend (say, its hot successor
+   already heads a trace) fails here on every attempt, so that test
+   comes before anything is allocated. *)
 let promote t (head : Tb_cache.entry) =
-  let rec extend rev_path members instrs blocks cur =
-    if blocks >= t.max_blocks then List.rev rev_path
-    else
-      match hot_successor t cur with
-      | None -> List.rev rev_path
-      | Some dst ->
-          let n = Array.length dst.Tb_cache.instrs in
-          let revisit = List.memq dst members in
-          if
-            n = 0
-            || instrs + n > t.max_instrs
-            || (not (promotable_block dst))
-            || ((not revisit) && not (unattached dst))
-            || edge_to cur dst.Tb_cache.block_pc = None
-          then List.rev rev_path
-          else
-            extend (dst :: rev_path)
-              (if revisit then members else dst :: members)
-              (instrs + n) (blocks + 1) dst
-  in
   let n0 = Array.length head.Tb_cache.instrs in
   if
     n0 > 0 && n0 <= t.max_instrs
     && promotable_block head
     && unattached head
+    &&
+    let first = hot_successor t head in
+    can_extend t head first ~instrs:n0 ~revisit:(first == head)
   then begin
+    let rec extend rev_path members instrs blocks cur =
+      let dst = hot_successor t cur in
+      let revisit = List.memq dst members in
+      if blocks < t.max_blocks && can_extend t cur dst ~instrs ~revisit then
+        extend (dst :: rev_path)
+          (if revisit then members else dst :: members)
+          (instrs + Array.length dst.Tb_cache.instrs)
+          (blocks + 1) dst
+      else List.rev rev_path
+    in
     let path = extend [ head ] [ head ] n0 1 head in
     if List.length path >= 2 then begin
       let parr = Array.of_list path in

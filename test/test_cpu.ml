@@ -779,10 +779,12 @@ let jump_cache_prop =
    hash-table probe result, no operator closure.  The loop is branchy
    (a data-dependent diamond, so superblock guards bail every other
    iteration and the dispatch loop and lowered blocks run too) and
-   goes through memory.  The bound leaves room for the closures each
-   [Machine.run] call builds and for the superblock engine's periodic
-   promotion attempts (about 0.04 words per instruction here); an
-   allocating dispatch costs well over 0.5. *)
+   goes through memory, and one of its blocks fails trace promotion on
+   every attempt (its hot successor already heads a trace).  The bound
+   leaves room for the closures each [Machine.run] call builds (about
+   0.0015 words per instruction here).  An option per block dispatch
+   and a hart option per interrupt sample came to 1.66; one closure per
+   failed promotion attempt alone exceeds the bound. *)
 let test_hot_loop_allocation () =
   let p =
     S4e_asm.Assembler.assemble_exn {|
@@ -827,7 +829,7 @@ buf:
   Alcotest.(check bool) "hot loop retires >= 200k instructions" true
     (n >= 200_000);
   let per = words /. float_of_int n in
-  if per > 0.1 then
+  if per > 0.01 then
     Alcotest.failf "%.0f minor words over %d instructions (%.3f each)" words n
       per
 
