@@ -23,14 +23,15 @@ let record ~exp ~name ~value ~unit_ =
   metrics := (exp, name, value, unit_) :: !metrics
 
 let write_json path =
-  let esc = S4e_obs.Trace_events.escape in
+  let module J = S4e_obs.Json in
   let rows =
     List.rev_map
       (fun (exp, name, value, unit_) ->
-        Printf.sprintf
-          "  {\"exp\": \"%s\", \"name\": \"%s\", \"value\": %g, \"unit\": \
-           \"%s\"}"
-          (esc exp) (esc name) value (esc unit_))
+        "  "
+        ^ J.to_string
+            (J.Obj
+               [ ("exp", J.String exp); ("name", J.String name);
+                 ("value", J.Float value); ("unit", J.String unit_) ]))
       !metrics
   in
   let oc = open_out path in
@@ -1750,7 +1751,7 @@ let e19 () =
 let e20 () =
   section "E20" "campaign fleet: shard-leasing workers vs one process";
   let module F = S4e_fleet in
-  let module J = F.Json in
+  let module J = S4e_obs.Json in
   let module Fault = S4e_fault.Fault in
   let module Campaign = S4e_fault.Campaign in
   let module Journal = S4e_fault.Journal in

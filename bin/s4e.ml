@@ -818,7 +818,7 @@ let merge_journals_cmd =
                  conflict or incompleteness.")
   in
   let action files out json =
-    let module J = S4e_fleet.Json in
+    let module J = S4e_obs.Json in
     let fail fmt =
       Printf.ksprintf
         (fun msg ->
@@ -863,14 +863,7 @@ let merge_journals_cmd =
                     ("records", J.Int (List.length records));
                     ("expected", J.Int (S4e_fault.Journal.expected_count h));
                     ("complete", J.Bool complete);
-                    ("summary",
-                     J.Obj
-                       [ ("masked", J.Int summary.S4e_fault.Campaign.masked);
-                         ("sdc", J.Int summary.S4e_fault.Campaign.sdc);
-                         ("crashed", J.Int summary.S4e_fault.Campaign.crashed);
-                         ("hung", J.Int summary.S4e_fault.Campaign.hung);
-                         ("errored", J.Int summary.S4e_fault.Campaign.errors)
-                       ]) ]))
+                    ("summary", S4e_fault.Campaign.summary_to_json summary) ]))
         else
           Format.printf "%a@." S4e_fault.Campaign.pp_summary summary;
         (match out with
@@ -1012,7 +1005,7 @@ let try_assemble path =
    subcommand's defaults exactly, so a fleet run of a spec and a local
    [s4e fault] with the same flags classify identically. *)
 let fleet_spec_campaign spec =
-  let module J = Fleet.Json in
+  let module J = S4e_obs.Json in
   match J.mem_str "program" spec with
   | None -> Error "spec: missing program"
   | Some path ->
@@ -1151,18 +1144,11 @@ let fleet_request client ~meth ~path ?body () =
       if status < 200 || status > 299 then begin
         Format.eprintf "s4e: HTTP %d: %s@." status
           (Option.value
-             (Fleet.Json.mem_str "error" reply)
-             ~default:(Fleet.Json.to_string reply));
+             (S4e_obs.Json.mem_str "error" reply)
+             ~default:(S4e_obs.Json.to_string reply));
         exit 1
       end;
       reply
-
-let summary_of_json v =
-  let module J = Fleet.Json in
-  let field k = Option.value (J.mem_int k v) ~default:0 in
-  { S4e_fault.Campaign.masked = field "masked"; sdc = field "sdc";
-    crashed = field "crashed"; hung = field "hung";
-    errors = field "errored"; total = field "total" }
 
 let submit_cmd =
   let mutants_arg =
@@ -1197,7 +1183,7 @@ let submit_cmd =
            ~doc:"Status poll interval with --wait.")
   in
   let action file connect mutants seed fuel blind rerun shards wait poll =
-    let module J = Fleet.Json in
+    let module J = S4e_obs.Json in
     if shards <= 0 then begin
       Format.eprintf "submit: --shards must be positive@.";
       exit 1
@@ -1245,7 +1231,14 @@ let submit_cmd =
       match poll_status () with
       | "done", st ->
           let summary =
-            summary_of_json (Option.value (J.mem "summary" st) ~default:J.Null)
+            match
+              Option.bind (J.mem "summary" st) S4e_fault.Campaign.summary_of_json
+            with
+            | Some s -> s
+            | None ->
+                Format.eprintf "submit: job %s: malformed summary: %s@." job
+                  (J.to_string st);
+                exit 1
           in
           Format.printf "%a@." S4e_fault.Campaign.pp_summary summary;
           Printf.printf "job %s: done in %.1fs\n" job
@@ -1279,7 +1272,7 @@ let jobs_cmd =
            ~doc:"Print the orchestrator's JSON status verbatim.")
   in
   let action connect id json =
-    let module J = Fleet.Json in
+    let module J = S4e_obs.Json in
     let client = Fleet.Client.create (fleet_addr connect) in
     let path =
       match id with Some id -> "/api/jobs/" ^ id | None -> "/api/jobs"

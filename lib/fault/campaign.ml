@@ -5,6 +5,7 @@ module Program = S4e_asm.Program
 module Report = S4e_coverage.Report
 module Par_pool = S4e_par.Par_pool
 module Obs = S4e_obs
+module Json = S4e_obs.Json
 
 type outcome = Masked | Sdc | Crashed | Hung | Errored of string
 
@@ -755,6 +756,23 @@ let summarize results =
     { masked = 0; sdc = 0; crashed = 0; hung = 0; errors = 0; total = 0 }
     results
 
+let summary_to_json s =
+  Json.Obj
+    [ ("masked", Json.Int s.masked); ("sdc", Json.Int s.sdc);
+      ("crashed", Json.Int s.crashed); ("hung", Json.Int s.hung);
+      ("errored", Json.Int s.errors); ("total", Json.Int s.total) ]
+
+let summary_of_json v =
+  match
+    List.map
+      (fun k -> Json.mem_int k v)
+      [ "masked"; "sdc"; "crashed"; "hung"; "errored"; "total" ]
+  with
+  | [ Some masked; Some sdc; Some crashed; Some hung; Some errors; Some total ]
+    ->
+      Some { masked; sdc; crashed; hung; errors; total }
+  | _ -> None
+
 let pp_summary fmt s =
   Format.fprintf fmt
     "total=%d masked=%d sdc=%d crashed=%d hung=%d errored=%d" s.total s.masked
@@ -1023,40 +1041,29 @@ let top_sites records =
   |> List.sort (fun (p1, c1) (p2, c2) ->
          match compare c2 c1 with 0 -> compare p1 p2 | c -> c)
 
-(* JSONL rendering: one object per line, strings through the shared
-   JSON escaper. *)
-let json_escape = Obs.Trace_events.escape
-
 let triage_to_json t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"index\":%d,\"fault\":\"%s\",\"outcome\":\"%s\",\"diverged\":%b,\
-        \"instret\":%d,\"golden_pc\":\"0x%08x\",\"mutant_pc\":\"0x%08x\",\
-        \"insn\":\"%s\",\"reg_diffs\":["
-       t.tg_index
-       (json_escape (Fault.to_string t.tg_fault))
-       (outcome_name t.tg_outcome) t.tg_diverged t.tg_instret t.tg_golden_pc
-       t.tg_mutant_pc (json_escape t.tg_insn));
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"reg\":\"%s\",\"golden\":\"0x%x\",\"mutant\":\"0x%x\"}"
-           (json_escape d.rd_name) d.rd_golden d.rd_mutant))
-    t.tg_reg_diffs;
-  Buffer.add_string b
-    (Printf.sprintf "],\"mem_diff\":%b,\"mip_golden\":%d,\"mip_mutant\":%d,\"tail\":["
-       t.tg_mem_diff t.tg_mip_golden t.tg_mip_mutant);
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape line);
-      Buffer.add_char b '"')
-    t.tg_tail;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let hex8 v = Json.String (Printf.sprintf "0x%08x" v) in
+  let reg_diff d =
+    Json.Obj
+      [ ("reg", Json.String d.rd_name);
+        ("golden", Json.String (Printf.sprintf "0x%x" d.rd_golden));
+        ("mutant", Json.String (Printf.sprintf "0x%x" d.rd_mutant)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("index", Json.Int t.tg_index);
+         ("fault", Json.String (Fault.to_string t.tg_fault));
+         ("outcome", Json.String (outcome_name t.tg_outcome));
+         ("diverged", Json.Bool t.tg_diverged);
+         ("instret", Json.Int t.tg_instret);
+         ("golden_pc", hex8 t.tg_golden_pc);
+         ("mutant_pc", hex8 t.tg_mutant_pc);
+         ("insn", Json.String t.tg_insn);
+         ("reg_diffs", Json.List (List.map reg_diff t.tg_reg_diffs));
+         ("mem_diff", Json.Bool t.tg_mem_diff);
+         ("mip_golden", Json.Int t.tg_mip_golden);
+         ("mip_mutant", Json.Int t.tg_mip_mutant);
+         ("tail", Json.List (List.map (fun l -> Json.String l) t.tg_tail)) ])
 
 let pp_triage fmt t =
   Format.fprintf fmt "#%d %s -> %s: %s at instret=%d pc=0x%08x (%s)"

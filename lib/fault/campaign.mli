@@ -220,6 +220,14 @@ val summarize : (Fault.t * outcome) list -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
+val summary_to_json : summary -> S4e_obs.Json.t
+(** [{"masked", "sdc", "crashed", "hung", "errored", "total"}], all
+    integers: the summary the fleet reports for a job and
+    [s4e merge-journals --json] prints. *)
+
+val summary_of_json : S4e_obs.Json.t -> summary option
+(** Inverse of {!summary_to_json}; [None] when a count is missing. *)
+
 (** {1 Divergence triage}
 
     A campaign names {e what} went wrong (sdc / crashed / hung);

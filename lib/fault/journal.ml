@@ -1,4 +1,5 @@
 module Obs = S4e_obs
+module Json = S4e_obs.Json
 module Program = S4e_asm.Program
 
 type header = {
@@ -22,139 +23,117 @@ let header_of ?(shard = (0, 1)) ~seed ~total program =
 
 (* ---------------- the line format ---------------- *)
 
-let escape = Obs.Trace_events.escape
-
 let header_line h =
   let i, n = h.j_shard in
-  Printf.sprintf
-    "{\"s4e_journal\":1,\"seed\":%d,\"total\":%d,\"shard\":\"%d/%d\",\
-     \"program\":\"%s\"}"
-    h.j_seed h.j_total i n (escape h.j_program)
+  Json.to_string
+    (Json.Obj
+       [ ("s4e_journal", Json.Int 1); ("seed", Json.Int h.j_seed);
+         ("total", Json.Int h.j_total);
+         ("shard", Json.String (Printf.sprintf "%d/%d" i n));
+         ("program", Json.String h.j_program) ])
 
 let record_line r =
-  let base =
-    Printf.sprintf "{\"i\":%d,\"fault\":\"%s\",\"outcome\":\"%s\"" r.r_index
-      (escape (Fault.to_string r.r_fault))
-      (Campaign.outcome_name r.r_outcome)
-  in
-  match r.r_outcome with
-  | Campaign.Errored e -> Printf.sprintf "%s,\"error\":\"%s\"}" base (escape e)
-  | _ -> base ^ "}"
-
-(* Minimal field extraction over the fixed single-line objects this
-   module emits — not a general JSON parser, and it need not be: a
-   journal is only ever read back by this module. *)
-
-let index_of s pat =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = pat then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let after_key line key =
-  Option.map
-    (fun i -> i + String.length key + 3)
-    (index_of line (Printf.sprintf "\"%s\":" key))
-
-let field_int line key =
-  match after_key line key with
-  | None -> None
-  | Some i ->
-      let n = String.length line in
-      let j = ref i in
-      if !j < n && line.[!j] = '-' then incr j;
-      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
-        incr j
-      done;
-      if !j = i then None else int_of_string_opt (String.sub line i (!j - i))
-
-let field_string line key =
-  match after_key line key with
-  | None -> None
-  | Some i when i >= String.length line || line.[i] <> '"' -> None
-  | Some i ->
-      let n = String.length line in
-      let b = Buffer.create 16 in
-      let rec go j =
-        if j >= n then None
-        else
-          match line.[j] with
-          | '"' -> Some (Buffer.contents b)
-          | '\\' when j + 1 < n -> (
-              match line.[j + 1] with
-              | 'n' -> Buffer.add_char b '\n'; go (j + 2)
-              | 'r' -> Buffer.add_char b '\r'; go (j + 2)
-              | 't' -> Buffer.add_char b '\t'; go (j + 2)
-              | 'u' when j + 5 < n -> (
-                  match
-                    int_of_string_opt ("0x" ^ String.sub line (j + 2) 4)
-                  with
-                  | Some c ->
-                      Buffer.add_char b (Char.chr (c land 0xff));
-                      go (j + 6)
-                  | None -> None)
-              | c -> Buffer.add_char b c; go (j + 2))
-          | c -> Buffer.add_char b c; go (j + 1)
-      in
-      go (i + 1)
-
-let parse_header line =
-  if field_int line "s4e_journal" <> Some 1 then
-    Error "journal: not a campaign journal (missing version header)"
-  else
-    match
-      ( field_int line "seed",
-        field_int line "total",
-        field_string line "shard",
-        field_string line "program" )
-    with
-    | Some seed, Some total, Some shard, Some program -> (
-        match String.split_on_char '/' shard with
-        | [ i; n ] -> (
-            match (int_of_string_opt i, int_of_string_opt n) with
-            | Some i, Some n ->
-                Ok
-                  { j_seed = seed;
-                    j_total = total;
-                    j_shard = (i, n);
-                    j_program = program }
-            | _ -> Error ("journal: bad shard field: " ^ shard))
-        | _ -> Error ("journal: bad shard field: " ^ shard))
-    | _ -> Error "journal: malformed header line"
-
-let parse_record line =
-  match
-    ( field_int line "i",
-      field_string line "fault",
-      field_string line "outcome" )
-  with
-  | Some i, Some f, Some oc -> (
-      match Fault.of_string f with
-      | Error e -> Error ("journal: " ^ e)
-      | Ok fault ->
-          let outcome =
-            match oc with
-            | "masked" -> Ok Campaign.Masked
-            | "sdc" -> Ok Campaign.Sdc
-            | "crashed" -> Ok Campaign.Crashed
-            | "hung" -> Ok Campaign.Hung
-            | "errored" ->
-                Ok
-                  (Campaign.Errored
-                     (Option.value (field_string line "error") ~default:""))
-            | _ -> Error ("journal: unknown outcome: " ^ oc)
-          in
-          Result.map
-            (fun o -> { r_index = i; r_fault = fault; r_outcome = o })
-            outcome)
-  | _ -> Error ("journal: malformed record: " ^ line)
-
-(* ---------------- reading ---------------- *)
+  Json.to_string
+    (Json.Obj
+       (("i", Json.Int r.r_index)
+       :: ("fault", Json.String (Fault.to_string r.r_fault))
+       :: ("outcome", Json.String (Campaign.outcome_name r.r_outcome))
+       ::
+       (match r.r_outcome with
+       | Campaign.Errored e -> [ ("error", Json.String e) ]
+       | _ -> [])))
 
 let ( let* ) = Result.bind
+
+(* [f] on every element, stopping at the first [Error] *)
+let all f l = List.fold_left (fun acc x -> let* () = acc in f x) (Ok ()) l
+
+let sorted_records tbl =
+  Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
+  |> List.sort (fun a b -> compare a.r_index b.r_index)
+
+let json_of line =
+  Result.map_error (fun e -> "journal: " ^ e) (Json.parse line)
+
+(* the shard must read back exactly as [header_line] prints it *)
+let shard_of_string s =
+  match String.split_on_char '/' s with
+  | [ i; n ] -> (
+      match (int_of_string_opt i, int_of_string_opt n) with
+      | Some i, Some n
+        when 0 <= i && i < n && Printf.sprintf "%d/%d" i n = s ->
+          Ok (i, n)
+      | _ -> Error ("journal: bad shard field: " ^ s))
+  | _ -> Error ("journal: bad shard field: " ^ s)
+
+let header_of_json v =
+  match
+    ( Json.mem_int "s4e_journal" v,
+      Json.mem_int "seed" v,
+      Json.mem_int "total" v,
+      Json.mem_str "shard" v,
+      Json.mem_str "program" v )
+  with
+  | Some 1, Some seed, Some total, Some shard, Some program ->
+      let* shard = shard_of_string shard in
+      if total < 0 then Error "journal: negative total"
+      else
+        Ok { j_seed = seed; j_total = total; j_shard = shard;
+             j_program = program }
+  | Some 1, _, _, _, _ -> Error "journal: malformed header line"
+  | _ -> Error "journal: not a campaign journal (missing version header)"
+
+let record_of_json line v =
+  match
+    (Json.mem_int "i" v, Json.mem_str "fault" v, Json.mem_str "outcome" v)
+  with
+  | Some i, Some f, Some oc ->
+      let* fault =
+        Result.map_error (fun e -> "journal: " ^ e) (Fault.of_string f)
+      in
+      let* outcome =
+        match oc with
+        | "masked" -> Ok Campaign.Masked
+        | "sdc" -> Ok Campaign.Sdc
+        | "crashed" -> Ok Campaign.Crashed
+        | "hung" -> Ok Campaign.Hung
+        | "errored" ->
+            Ok
+              (Campaign.Errored
+                 (Option.value (Json.mem_str "error" v) ~default:""))
+        | _ -> Error ("journal: unknown outcome: " ^ oc)
+      in
+      Ok { r_index = i; r_fault = fault; r_outcome = outcome }
+  | _ -> Error ("journal: malformed record: " ^ line)
+
+let parse_header line =
+  let* v = json_of line in
+  header_of_json v
+
+let parse_record line =
+  let* v = json_of line in
+  record_of_json line v
+
+type line = Header of header | Record of record
+
+let parse_line line =
+  let* v = json_of line in
+  if Json.mem "s4e_journal" v <> None then
+    Result.map (fun h -> Header h) (header_of_json v)
+  else Result.map (fun r -> Record r) (record_of_json line v)
+
+let check h r =
+  let i, n = h.j_shard in
+  if r.r_index < 0 || r.r_index >= h.j_total then
+    Error
+      (Printf.sprintf "journal: record index %d outside [0, %d)" r.r_index
+         h.j_total)
+  else if r.r_index mod n <> i then
+    Error
+      (Printf.sprintf "journal: record %d outside shard %d/%d" r.r_index i n)
+  else Ok ()
+
+(* ---------------- reading ---------------- *)
 
 (* [good_len] is the byte offset just past the last newline-terminated
    line: a crash between a write and its flush can leave a torn final
@@ -181,35 +160,27 @@ let read_ex path =
   | [] -> Error ("journal: no header in " ^ path)
   | hd :: rest ->
       let* header = parse_header hd in
-      let* records =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* r = parse_record line in
-            Ok (r :: acc))
-          (Ok []) rest
-      in
       (* a record may legitimately appear twice (a resume that re-ran a
          mutant whose record missed its fsync batch): last write wins *)
       let tbl = Hashtbl.create 64 in
-      List.iter (fun r -> Hashtbl.replace tbl r.r_index r) (List.rev records);
-      let dedup =
-        Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
-        |> List.sort (fun a b -> compare a.r_index b.r_index)
+      let* () =
+        all
+          (fun line ->
+            let* r = parse_record line in
+            let* () = check header r in
+            Ok (Hashtbl.replace tbl r.r_index r))
+          rest
       in
-      Ok (header, dedup, good_len)
+      Ok (header, sorted_records tbl, good_len)
 
 let read path =
   let* h, rs, _ = read_ex path in
   Ok (h, rs)
 
+(* indices in [0, total) congruent to i mod n *)
 let expected_count h =
   let i, n = h.j_shard in
-  if n <= 1 then h.j_total
-  else
-    (* indices in [0, total) congruent to i mod n *)
-    let q = h.j_total / n and r = h.j_total mod n in
-    q + (if i < r then 1 else 0)
+  (h.j_total / n) + if i < h.j_total mod n then 1 else 0
 
 let is_complete h records = List.length records >= expected_count h
 
@@ -294,50 +265,42 @@ let append_to ?sink ~path header =
 
 (* ---------------- merging shards ---------------- *)
 
-let outcome_key = function
-  | Campaign.Errored _ -> "errored"
-  | o -> Campaign.outcome_name o
+let merge_header h0 h =
+  if h.j_seed = h0.j_seed && h.j_total = h0.j_total
+     && h.j_program = h0.j_program
+  then Ok ()
+  else Error "merge: journals disagree on seed, total, or program"
+
+let merge_record tbl r =
+  match Hashtbl.find_opt tbl r.r_index with
+  | None ->
+      Hashtbl.replace tbl r.r_index r;
+      Ok `Fresh
+  | Some prev
+    when Fault.compare prev.r_fault r.r_fault = 0
+         && Campaign.outcome_name prev.r_outcome
+            = Campaign.outcome_name r.r_outcome ->
+      Ok `Dup
+  | Some prev ->
+      Error
+        (Printf.sprintf "merge: mutant %d classified both %s and %s" r.r_index
+           (Campaign.outcome_name prev.r_outcome)
+           (Campaign.outcome_name r.r_outcome))
 
 let merge inputs =
   match inputs with
   | [] -> Error "merge: no journals given"
-  | (h0, _) :: rest ->
-      let compatible (h, _) =
-        h.j_seed = h0.j_seed && h.j_total = h0.j_total
-        && h.j_program = h0.j_program
-      in
-      if not (List.for_all compatible rest) then
-        Error "merge: journals disagree on seed, total, or program"
-      else
-        let tbl : (int, record) Hashtbl.t = Hashtbl.create 256 in
-        let conflict = ref None in
-        List.iter
-          (fun (_, records) ->
-            List.iter
+  | (h0, _) :: _ ->
+      let* () = all (fun (h, _) -> merge_header h0 h) inputs in
+      let tbl = Hashtbl.create 256 in
+      let* () =
+        all
+          (fun (h, records) ->
+            all
               (fun r ->
-                match Hashtbl.find_opt tbl r.r_index with
-                | None -> Hashtbl.replace tbl r.r_index r
-                | Some prev
-                  when Fault.compare prev.r_fault r.r_fault = 0
-                       && outcome_key prev.r_outcome = outcome_key r.r_outcome
-                  ->
-                    ()
-                | Some prev ->
-                    if !conflict = None then
-                      conflict :=
-                        Some
-                          (Printf.sprintf
-                             "merge: mutant %d classified both %s and %s"
-                             r.r_index
-                             (Campaign.outcome_name prev.r_outcome)
-                             (Campaign.outcome_name r.r_outcome)))
+                let* () = check h r in
+                Result.map ignore (merge_record tbl r))
               records)
-          inputs;
-        (match !conflict with
-        | Some msg -> Error msg
-        | None ->
-            let records =
-              Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
-              |> List.sort (fun a b -> compare a.r_index b.r_index)
-            in
-            Ok ({ h0 with j_shard = (0, 1) }, records))
+          inputs
+      in
+      Ok ({ h0 with j_shard = (0, 1) }, sorted_records tbl)

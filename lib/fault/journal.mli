@@ -38,12 +38,12 @@ val is_complete : header -> record list -> bool
 
 (** {1 Line format}
 
-    The JSONL level of the format, exposed so the fleet layer can move
-    journal lines over the wire without depending on the engine: a
-    worker streams [record_line]s as the campaign classifies mutants,
-    and the orchestrator — which reads them as plain JSON — hands the
-    already-merged lines of a reclaimed shard back to the next holder,
-    which re-parses them here to resume. *)
+    Every journal line is one JSON object printed by {!S4e_obs.Json}.
+    A worker streams [record_line]s as the campaign classifies
+    mutants, and the fleet orchestrator reads them back here, checks
+    them with {!check} and merges them with {!merge_record} — the same
+    steps {!read} and {!merge} take — so a journal the orchestrator
+    accepts is one [s4e merge-journals] accepts. *)
 
 val header_line : header -> string
 (** One line, no trailing newline — exactly what {!create} writes. *)
@@ -52,9 +52,19 @@ val record_line : record -> string
 
 val parse_header : string -> (header, string) result
 (** Inverse of {!header_line}; rejects lines without the
-    [s4e_journal] version field. *)
+    [s4e_journal] version field, a negative total, and a shard that is
+    not ["i/n"] with [0 <= i < n]. *)
 
 val parse_record : string -> (record, string) result
+
+type line = Header of header | Record of record
+
+val parse_line : string -> (line, string) result
+(** A header or a record line, told apart by the version field. *)
+
+val check : header -> record -> (unit, string) result
+(** [Error] unless the record's index lies in [[0, total)] and in the
+    header's shard slice (index mod n = i). *)
 
 (** {1 Writing} *)
 
@@ -89,12 +99,29 @@ val close : writer -> unit
 val read : string -> (header * record list, string) result
 (** Records come back deduplicated by index (last write wins) and
     sorted.  A torn final line is dropped silently; a malformed
-    {e terminated} line is corruption and an error. *)
+    {e terminated} line, or a record that fails {!check} against the
+    header, is corruption and an error. *)
+
+(** {1 Merging} *)
+
+val merge_header : header -> header -> (unit, string) result
+(** [Ok] when two headers describe the same campaign: seed, total and
+    program agree (shards may differ). *)
+
+val merge_record :
+  (int, record) Hashtbl.t -> record -> ([ `Fresh | `Dup ], string) result
+(** One merge step: adds a record under its index, tolerates the same
+    fault and outcome class a second time ([`Dup]; errored messages
+    are not compared), and is an [Error] when the index is already
+    classified differently — the engine is deterministic per mutant,
+    so two journals disagreeing were not the same campaign. *)
+
+val sorted_records : (int, record) Hashtbl.t -> record list
+(** A merge table's records, sorted by index. *)
 
 val merge :
   (header * record list) list ->
   (header * record list, string) result
 (** Combines shard journals of one campaign into a single unsharded
-    record set.  Errors if the headers disagree on seed, total, or
-    program, or if two journals classify the same mutant index
-    differently (same-outcome overlap is tolerated). *)
+    record set: {!merge_header} on every header, then {!check} and
+    {!merge_record} on every record. *)

@@ -1,3 +1,5 @@
+module Json = S4e_obs.Json
+
 type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 type t = {

@@ -13,8 +13,8 @@ val create : Http.addr -> t
 val addr : t -> Http.addr
 
 val request :
-  t -> meth:string -> path:string -> ?body:Json.t -> unit ->
-  (int * Json.t, string) result
+  t -> meth:string -> path:string -> ?body:S4e_obs.Json.t -> unit ->
+  (int * S4e_obs.Json.t, string) result
 (** [(status, parsed body)] — transport and JSON-parse failures are
     [Error].  Non-2xx statuses are returned, not raised: the fleet API
     encodes protocol outcomes (stale lease, conflict) in them. *)

@@ -1,59 +1,7 @@
 module Obs = S4e_obs
-
-(* ---------------- journal-line interop ----------------
-
-   The server moves journal lines produced by S4e_fault.Journal but
-   depends only on unix/threads/s4e_obs, so it reads them as what they
-   are: single-line JSON objects.  The header regenerated for resume
-   grants reproduces Journal.header_line's exact format. *)
-
-type jheader = { jh_seed : int; jh_total : int; jh_program : string }
-
-type jrecord = {
-  jr_index : int;
-  jr_fault : string;  (* canonical Fault.to_string serialization *)
-  jr_outcome : string;  (* outcome name; "errored" collapses messages *)
-  jr_line : string;  (* the verbatim line, for journals and resume *)
-}
-
-type jline = Header of jheader | Record of jrecord
-
-let classify_line line =
-  match Json.parse line with
-  | Error e -> Error e
-  | Ok v -> (
-      if Json.mem "s4e_journal" v <> None then
-        match
-          ( Json.mem_int "seed" v,
-            Json.mem_int "total" v,
-            Json.mem_str "program" v )
-        with
-        | Some seed, Some total, Some program ->
-            Ok (Header { jh_seed = seed; jh_total = total; jh_program = program })
-        | _ -> Error "malformed journal header line"
-      else
-        match
-          ( Json.mem_int "i" v,
-            Json.mem_str "fault" v,
-            Json.mem_str "outcome" v )
-        with
-        | Some i, Some fault, Some outcome ->
-            Ok
-              (Record
-                 { jr_index = i; jr_fault = fault; jr_outcome = outcome;
-                   jr_line = line })
-        | _ -> Error "malformed journal record line")
-
-let header_line h ~shard:(i, n) =
-  Printf.sprintf
-    "{\"s4e_journal\":1,\"seed\":%d,\"total\":%d,\"shard\":\"%d/%d\",\
-     \"program\":\"%s\"}"
-    h.jh_seed h.jh_total i n (S4e_obs.Trace_events.escape h.jh_program)
-
-(* indices in [0, total) congruent to shard (mod count) *)
-let expected_in_shard ~total ~count shard =
-  let q = total / count and r = total mod count in
-  q + (if shard < r then 1 else 0)
+module Json = S4e_obs.Json
+module Journal = S4e_fault.Journal
+module Campaign = S4e_fault.Campaign
 
 (* ---------------- jobs ---------------- *)
 
@@ -73,9 +21,9 @@ type job = {
   j_created : float;
   mutable j_state : jstate;
   mutable j_finished : float option;
-  mutable j_header : jheader option;
-  j_records : (int, jrecord) Hashtbl.t;
-  mutable j_have : int array;  (* fresh records per shard *)
+  mutable j_header : Journal.header option;  (* unsharded, once streamed *)
+  j_records : (int, Journal.record) Hashtbl.t;
+  j_grants : (int, int) Hashtbl.t;  (* lease id -> shard, stale ones too *)
   mutable j_dups : int;
   mutable j_journal : string option;  (* merged journal path, once written *)
 }
@@ -209,48 +157,35 @@ let worker_stat t name =
 (* ---------------- job bookkeeping (caller holds the lock) -------- *)
 
 let job_summary j =
-  let masked = ref 0 and sdc = ref 0 and crashed = ref 0 in
-  let hung = ref 0 and errored = ref 0 in
-  Hashtbl.iter
-    (fun _ r ->
-      match r.jr_outcome with
-      | "masked" -> incr masked
-      | "sdc" -> incr sdc
-      | "crashed" -> incr crashed
-      | "hung" -> incr hung
-      | _ -> incr errored)
-    j.j_records;
-  Json.Obj
-    [ ("masked", Json.Int !masked); ("sdc", Json.Int !sdc);
-      ("crashed", Json.Int !crashed); ("hung", Json.Int !hung);
-      ("errored", Json.Int !errored);
-      ("total", Json.Int (Hashtbl.length j.j_records)) ]
+  Campaign.summary_to_json
+    (Campaign.summarize
+       (Hashtbl.fold
+          (fun _ r acc -> (r.Journal.r_fault, r.Journal.r_outcome) :: acc)
+          j.j_records []))
 
-let sorted_records j =
-  Hashtbl.fold (fun _ r acc -> r :: acc) j.j_records []
-  |> List.sort (fun a b -> compare a.jr_index b.jr_index)
+(* the header of one shard's slice of the job's campaign *)
+let shard_header j h s = { h with Journal.j_shard = (s, j.j_shards) }
 
 let write_journal t j ~partial =
   match (t.journal_dir, j.j_header) with
-  | Some dir, Some h when Hashtbl.length j.j_records > 0 || not partial ->
+  | Some dir, Some h when Hashtbl.length j.j_records > 0 || not partial -> (
       let path =
         Filename.concat dir
           (j.j_id ^ if partial then ".partial.jsonl" else ".jsonl")
       in
-      (try
-         let oc = open_out_bin path in
-         output_string oc (header_line h ~shard:(0, 1));
-         output_char oc '\n';
-         List.iter
-           (fun r ->
-             output_string oc r.jr_line;
-             output_char oc '\n')
-           (sorted_records j);
-         close_out oc;
-         if not partial then j.j_journal <- Some path;
-         t.log (Printf.sprintf "job %s: journal %s" j.j_id path)
-       with Sys_error e ->
-         t.log (Printf.sprintf "job %s: journal write failed: %s" j.j_id e))
+      let written =
+        Result.bind (Journal.create ~path h) (fun w ->
+            try
+              List.iter (Journal.write w) (Journal.sorted_records j.j_records);
+              Ok (Journal.close w)
+            with Sys_error e -> Error e)
+      in
+      match written with
+      | Ok () ->
+          if not partial then j.j_journal <- Some path;
+          t.log (Printf.sprintf "job %s: journal %s" j.j_id path)
+      | Error e ->
+          t.log (Printf.sprintf "job %s: journal write failed: %s" j.j_id e))
   | _ -> ()
 
 let fail_job t j msg =
@@ -264,57 +199,37 @@ let fail_job t j msg =
 let maybe_finish t j =
   if j.j_state = Running && Lease.all_done j.j_lease then
     match j.j_header with
-    | Some h when Hashtbl.length j.j_records >= h.jh_total ->
+    | Some h when Hashtbl.length j.j_records >= h.Journal.j_total ->
         j.j_state <- Done;
         j.j_finished <- Some (t.clock ());
         bump t.c_jobs_done;
-        t.log (Printf.sprintf "job %s: done (%d records)" j.j_id h.jh_total);
+        t.log
+          (Printf.sprintf "job %s: done (%d records)" j.j_id h.Journal.j_total);
         write_journal t j ~partial:false
     | Some h ->
         fail_job t j
           (Printf.sprintf "all shards complete but only %d/%d records"
-             (Hashtbl.length j.j_records) h.jh_total)
+             (Hashtbl.length j.j_records) h.Journal.j_total)
     | None -> fail_job t j "all shards complete but no journal header seen"
 
-(* Merge one record under Journal.merge semantics: dedup identical
-   classifications, fail the job on a disagreement. *)
-let merge_record t j (r : jrecord) =
-  match Hashtbl.find_opt j.j_records r.jr_index with
-  | None ->
-      Hashtbl.replace j.j_records r.jr_index r;
-      if j.j_shards > 0 then begin
-        let s = r.jr_index mod j.j_shards in
-        j.j_have.(s) <- j.j_have.(s) + 1
-      end;
-      t.last_merge <- t.clock ();
-      `Fresh
-  | Some prev
-    when prev.jr_fault = r.jr_fault && prev.jr_outcome = r.jr_outcome ->
-      `Dup
-  | Some prev ->
-      fail_job t j
-        (Printf.sprintf "merge: mutant %d classified both %s and %s"
-           r.jr_index prev.jr_outcome r.jr_outcome);
-      `Conflict
-
-let merge_header t j (h : jheader) =
-  match j.j_header with
-  | None ->
-      if h.jh_total <= 0 then begin
-        fail_job t j "journal header with non-positive total";
-        `Conflict
-      end
-      else begin
-        j.j_header <- Some h;
-        `Fresh
-      end
-  | Some h0
-    when h0.jh_seed = h.jh_seed && h0.jh_total = h.jh_total
-         && h0.jh_program = h.jh_program ->
-      `Dup
-  | Some _ ->
-      fail_job t j "merge: journals disagree on seed, total, or program";
-      `Conflict
+(* One checked journal line into the job, under Journal.merge's
+   rules; a disagreement fails the job. *)
+let merge_line t j ~fresh ~dups = function
+  | Journal.Header h -> (
+      match j.j_header with
+      | None when h.Journal.j_total <= 0 ->
+          fail_job t j "journal header with non-positive total"
+      | None -> j.j_header <- Some { h with Journal.j_shard = (0, 1) }
+      | Some h0 -> Result.iter_error (fail_job t j) (Journal.merge_header h0 h))
+  | Journal.Record r -> (
+      match Journal.merge_record j.j_records r with
+      | Ok `Fresh ->
+          t.last_merge <- t.clock ();
+          incr fresh
+      | Ok `Dup ->
+          incr dups;
+          j.j_dups <- j.j_dups + 1
+      | Error e -> fail_job t j e)
 
 (* ---------------- responses ---------------- *)
 
@@ -349,7 +264,7 @@ let job_status_json t j =
         ("duplicates", Json.Int j.j_dups);
         ("total",
          match j.j_header with
-         | Some h -> Json.Int h.jh_total
+         | Some h -> Json.Int h.Journal.j_total
          | None -> Json.Null);
         ("summary", job_summary j);
         ("age_s",
@@ -388,7 +303,7 @@ let handle_submit t body =
               j_finished = None;
               j_header = None;
               j_records = Hashtbl.create 256;
-              j_have = Array.make shards 0;
+              j_grants = Hashtbl.create 8;
               j_dups = 0;
               j_journal = None }
           in
@@ -451,13 +366,15 @@ let handle_lease t body =
                          ("running", Json.Int running) ])
               | Some (shard, lease) ->
                   bump t.c_leases;
+                  Hashtbl.replace j.j_grants lease shard;
                   let lease_id = Printf.sprintf "%s:%d" j.j_id lease in
                   t.log
                     (Printf.sprintf "job %s: shard %d/%d leased to %s (%s)"
                        j.j_id shard j.j_shards worker lease_id);
                   let known =
-                    sorted_records j
-                    |> List.filter (fun r -> r.jr_index mod j.j_shards = shard)
+                    Journal.sorted_records j.j_records
+                    |> List.filter (fun r ->
+                           r.Journal.r_index mod j.j_shards = shard)
                   in
                   let resume =
                     match (j.j_header, known) with
@@ -465,11 +382,11 @@ let handle_lease t body =
                         Json.Obj
                           [ ("header",
                              Json.String
-                               (header_line h ~shard:(shard, j.j_shards)));
+                               (Journal.header_line (shard_header j h shard)));
                             ("lines",
                              Json.List
                                (List.map
-                                  (fun r -> Json.String r.jr_line)
+                                  (fun r -> Json.String (Journal.record_line r))
                                   known)) ]
                     | _ -> Json.Null
                   in
@@ -513,6 +430,38 @@ let handle_renew t body =
               in
               respond (Json.Obj [ ("ok", Json.Bool ok) ]))
 
+(* A batch is checked whole before any of it merges: every line must
+   be a string that parses, a header must be for the lease's shard,
+   and every record must follow a header and lie in the lease's shard
+   slice. *)
+let check_lines j lease lines =
+  match Hashtbl.find_opt j.j_grants lease with
+  | None -> Error "records on a lease this job never granted"
+  | Some shard ->
+      let rec go header acc = function
+        | [] -> Ok (List.rev acc)
+        | line :: rest -> (
+            match Option.map Journal.parse_line (Json.str line) with
+            | None -> Error "journal line is not a string"
+            | Some (Error e) -> Error e
+            | Some (Ok (Journal.Header h as l)) ->
+                if h.Journal.j_shard = (shard, j.j_shards) then
+                  go (Some h) (l :: acc) rest
+                else
+                  Error
+                    (Printf.sprintf
+                       "journal header for another shard than %d/%d" shard
+                       j.j_shards)
+            | Some (Ok (Journal.Record r as l)) -> (
+                match header with
+                | None -> Error "record line before the journal header"
+                | Some h -> (
+                    match Journal.check (shard_header j h shard) r with
+                    | Error e -> Error e
+                    | Ok () -> go header (l :: acc) rest)))
+      in
+      go j.j_header [] lines
+
 let handle_records t body =
   match parse_body body with
   | Error r -> r
@@ -521,10 +470,7 @@ let handle_records t body =
           match find_lease t v with
           | Error r -> r
           | Ok (j, lease) ->
-              let lines =
-                Option.value (Json.mem_list "lines" v) ~default:[]
-                |> List.filter_map Json.str
-              in
+              let lines = Option.value (Json.mem_list "lines" v) ~default:[] in
               Option.iter
                 (fun h -> Obs.Metrics.observe h (List.length lines))
                 t.h_batch;
@@ -540,51 +486,32 @@ let handle_records t body =
                      [ ("accepted", Json.Int 0);
                        ("duplicates", Json.Int 0);
                        ("lease_ok", Json.Bool false) ])
-              else begin
-                let worker =
-                  Option.value (Json.mem_str "worker" v) ~default:"anon"
-                in
-                let fresh = ref 0 and dups = ref 0 in
-                let bad = ref None in
-                List.iter
-                  (fun line ->
-                    if !bad = None && j.j_state = Running then
-                      match classify_line line with
-                      | Error e -> bad := Some e
-                      | Ok (Header h) -> (
-                          match merge_header t j h with
-                          | `Fresh | `Dup -> ()
-                          | `Conflict -> ())
-                      | Ok (Record r) -> (
-                          (match j.j_header with
-                          | Some h
-                            when r.jr_index < 0 || r.jr_index >= h.jh_total ->
-                              bad :=
-                                Some
-                                  (Printf.sprintf
-                                     "record index %d out of range" r.jr_index)
-                          | _ -> ());
-                          if !bad = None then
-                            match merge_record t j r with
-                            | `Fresh -> incr fresh
-                            | `Dup -> incr dups; j.j_dups <- j.j_dups + 1
-                            | `Conflict -> ()))
-                  lines;
-                bump_n t.c_records !fresh;
-                bump_n t.c_dups !dups;
-                let w = worker_stat t worker in
-                w.w_records <- w.w_records + !fresh;
-                w.w_last <- now;
-                match (!bad, j.j_state) with
-                | Some e, _ -> error_response 400 e
-                | None, Failed e -> error_response 409 e
-                | None, _ ->
-                    respond
-                      (Json.Obj
-                         [ ("accepted", Json.Int !fresh);
-                           ("duplicates", Json.Int !dups);
-                           ("lease_ok", Json.Bool lease_ok) ])
-              end)
+              else
+                match check_lines j lease lines with
+                | Error e -> error_response 400 e
+                | Ok parsed -> (
+                    let fresh = ref 0 and dups = ref 0 in
+                    List.iter
+                      (fun l ->
+                        if j.j_state = Running then
+                          merge_line t j ~fresh ~dups l)
+                      parsed;
+                    bump_n t.c_records !fresh;
+                    bump_n t.c_dups !dups;
+                    let worker =
+                      Option.value (Json.mem_str "worker" v) ~default:"anon"
+                    in
+                    let w = worker_stat t worker in
+                    w.w_records <- w.w_records + !fresh;
+                    w.w_last <- now;
+                    match j.j_state with
+                    | Failed e -> error_response 409 e
+                    | _ ->
+                        respond
+                          (Json.Obj
+                             [ ("accepted", Json.Int !fresh);
+                               ("duplicates", Json.Int !dups);
+                               ("lease_ok", Json.Bool lease_ok) ])))
 
 let handle_complete t body =
   match parse_body body with
@@ -610,13 +537,16 @@ let handle_complete t body =
                     error_response 409 "no journal header streamed yet"
                 | Some s, Some h ->
                     let expected =
-                      expected_in_shard ~total:h.jh_total ~count:j.j_shards s
+                      Journal.expected_count (shard_header j h s)
+                    and have =
+                      Hashtbl.fold
+                        (fun i _ n -> if i mod j.j_shards = s then n + 1 else n)
+                        j.j_records 0
                     in
-                    if j.j_have.(s) < expected then
+                    if have < expected then
                       error_response 409
-                        (Printf.sprintf
-                           "shard %d incomplete: %d/%d records" s j.j_have.(s)
-                           expected)
+                        (Printf.sprintf "shard %d incomplete: %d/%d records" s
+                           have expected)
                     else (
                       match Lease.complete j.j_lease ~now ~lease with
                       | Error e -> error_response 410 e

@@ -4,20 +4,22 @@
     count — are submitted over a minimal HTTP/1.1 JSON API; workers
     pull shard {e leases} with expiry, stream classified-mutant journal
     lines back in batches, and complete their shards.  The server
-    merges the streamed records live under the exact
-    {!S4e_fault.Journal.merge} semantics: records are deduplicated by
-    mutant index, and two shards disagreeing on a mutant's fault or
-    outcome class fail the job (the engine is deterministic per mutant,
-    so a disagreement means the workers did not run the same campaign).
+    reads, checks and merges the streamed lines live with
+    {!S4e_fault.Journal} itself ({!S4e_fault.Journal.parse_line},
+    {!S4e_fault.Journal.check}, {!S4e_fault.Journal.merge_record}):
+    records are deduplicated by mutant index, and two shards
+    disagreeing on a mutant's fault or outcome class fail the job (the
+    engine is deterministic per mutant, so a disagreement means the
+    workers did not run the same campaign).
     A worker that dies mid-shard costs only its unstreamed tail: the
     lease expires, the shard is re-leased, and the next holder receives
     the already-merged records of that shard to resume from.
 
-    The server understands journal lines only as JSON — it depends on
-    [unix]/[threads]/[s4e_obs] alone.  Workers produce the lines with
+    The server never simulates.  Workers produce the lines with
     {!S4e_fault.Journal} via the {!S4e_core.Flows.fault_campaign}
-    streaming hook, and the merged journal files the server writes are
-    read back by [s4e merge-journals] unchanged.
+    streaming hook, and the server writes each finished job's journal
+    with {!S4e_fault.Journal.create}, so [s4e merge-journals] reads it
+    back unchanged.
 
     {2 API}
 
@@ -34,9 +36,14 @@
       batches also renew.
     - [POST /api/records] [{"lease": id, "lines": [...]}] — stream
       journal lines (the header line is recognised and checked for
-      compatibility; record lines are merged).  Records are accepted
-      even from a stale lease — they are valid work — but the reply's
-      [lease_ok: false] tells the worker to stop.
+      compatibility; record lines are merged).  A batch is checked
+      whole first and nothing of it merges unless every line passes:
+      a line that is not a string or does not parse, a header for
+      another shard, a record before any header, and a record outside
+      [[0, total)] or outside the lease's shard slice are 400s.
+      Records are accepted even from a stale lease — they are valid
+      work — but the reply's [lease_ok: false] tells the worker to
+      stop.
     - [POST /api/complete], [POST /api/release] [{"lease": id}].
     - [GET /metrics] — the attached metrics registry as JSON.
     - [GET /healthz]. *)

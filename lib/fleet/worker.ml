@@ -1,4 +1,5 @@
 module Obs = S4e_obs
+module Json = S4e_obs.Json
 
 type runner =
   spec:Json.t ->

@@ -18,7 +18,7 @@
     engine dependencies so it can be driven by fakes in tests. *)
 
 type runner =
-  spec:Json.t ->
+  spec:S4e_obs.Json.t ->
   shard:int * int ->
   resume:(string * string list) option ->
   emit:(string -> unit) ->

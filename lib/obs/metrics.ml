@@ -168,7 +168,7 @@ let to_json t =
     (fun (name, v) ->
       Buffer.add_string b ",\n";
       Buffer.add_string b
-        (Printf.sprintf "  \"%s\": %s" (Trace_events.escape name)
+        (Printf.sprintf "  \"%s\": %s" (Json.escape name)
            (string_of_value v)))
     (snapshot t);
   Buffer.add_string b "\n}\n";

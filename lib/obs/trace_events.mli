@@ -45,13 +45,6 @@ val span :
 (** [span t ~name ~cat f] times [f] and emits the complete event —
     also when [f] raises.  [tid] defaults to the calling domain's id. *)
 
-val escape : string -> string
-(** JSON string escaping, without the surrounding quotes: double quote,
-    backslash, newline, carriage return and tab get their two-character
-    escapes, the other control bytes a [\u00XX] escape, and every other
-    byte passes through.  The one escaper every JSON writer in the
-    repository uses. *)
-
 val events : t -> int
 (** Events emitted so far. *)
 

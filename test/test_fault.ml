@@ -649,100 +649,178 @@ let test_blind_generation () =
   in
   Alcotest.(check bool) "includes unused registers" true unused
 
-(* ---------------- divergence triage ---------------- *)
+(* ---------------- the journal line format ---------------- *)
 
-(* Strict single-value JSON validator: triage JSONL lines must be
-   parseable by any off-the-shelf consumer, so validate the grammar,
-   not just the fields we happen to read back. *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let fail () = raise Exit in
-  let adv () = incr pos in
-  let rec skip_ws () =
-    match peek () with Some (' ' | '\t') -> adv (); skip_ws () | _ -> ()
+let gpr_perm = { Fault.loc = Fault.Gpr (10, 24); kind = Fault.Permanent }
+
+let code_trans =
+  { Fault.loc = Fault.Code (0x8000_0000, 3); kind = Fault.Transient 43 }
+
+(* Exact bytes, so a change of printer cannot silently change a journal
+   that another build has to resume or merge. *)
+let test_journal_line_bytes () =
+  let h =
+    { Journal.j_seed = 7; j_total = 600; j_shard = (2, 6);
+      j_program = "0123456789abcdef0123456789abcdef" }
   in
-  let expect c = if peek () = Some c then adv () else fail () in
-  let lit w =
-    let m = String.length w in
-    if !pos + m <= n && String.sub s !pos m = w then pos := !pos + m
-    else fail ()
+  Alcotest.(check string) "header"
+    {|{"s4e_journal":1,"seed":7,"total":600,"shard":"2/6","program":"0123456789abcdef0123456789abcdef"}|}
+    (Journal.header_line h);
+  let line i fault outcome =
+    Journal.record_line
+      { Journal.r_index = i; r_fault = fault; r_outcome = outcome }
   in
-  let number () =
-    if peek () = Some '-' then adv ();
-    let start = !pos in
-    while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-      adv ()
-    done;
-    if !pos = start then fail ()
+  List.iter
+    (fun (want, got) -> Alcotest.(check string) want want got)
+    [ ({|{"i":0,"fault":"gpr:10:24:perm","outcome":"masked"}|},
+       line 0 gpr_perm Campaign.Masked);
+      ({|{"i":1,"fault":"code:0x80000000:3:trans:43","outcome":"sdc"}|},
+       line 1 code_trans Campaign.Sdc);
+      ({|{"i":2,"fault":"gpr:10:24:perm","outcome":"crashed"}|},
+       line 2 gpr_perm Campaign.Crashed);
+      ({|{"i":3,"fault":"gpr:10:24:perm","outcome":"hung"}|},
+       line 3 gpr_perm Campaign.Hung);
+      ({|{"i":4,"fault":"gpr:10:24:perm","outcome":"errored","error":"say \"hi\" \\ then\nline \u0001 Ł"}|},
+       line 4 gpr_perm
+         (Campaign.Errored "say \"hi\" \\ then\nline \001 Ł")) ];
+  let tg =
+    { Campaign.tg_index = 5; tg_fault = gpr_perm; tg_outcome = Campaign.Sdc;
+      tg_diverged = true; tg_instret = 1234; tg_golden_pc = 0x8000_0010;
+      tg_mutant_pc = 0x8000_0014; tg_insn = "addi a0, a0, 1";
+      tg_reg_diffs =
+        [ { Campaign.rd_name = "a0"; rd_golden = 0x2a; rd_mutant = 0x102a };
+          { Campaign.rd_name = "mstatus"; rd_golden = 0; rd_mutant = 8 } ];
+      tg_mem_diff = false; tg_mip_golden = 0; tg_mip_mutant = 128;
+      tg_tail = [ "a \"quoted\" line"; "tab\there" ] }
   in
-  let str () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail ()
-      | Some '"' -> adv ()
-      | Some '\\' -> (
-          adv ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-              adv (); go ()
-          | Some 'u' ->
-              adv ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> adv ()
-                | _ -> fail ()
-              done;
-              go ()
-          | _ -> fail ())
-      | Some c when Char.code c < 0x20 -> fail ()
-      | Some _ -> adv (); go ()
+  Alcotest.(check string) "triage line"
+    {|{"index":5,"fault":"gpr:10:24:perm","outcome":"sdc","diverged":true,"instret":1234,"golden_pc":"0x80000010","mutant_pc":"0x80000014","insn":"addi a0, a0, 1","reg_diffs":[{"reg":"a0","golden":"0x2a","mutant":"0x102a"},{"reg":"mstatus","golden":"0x0","mutant":"0x8"}],"mem_diff":false,"mip_golden":0,"mip_mutant":128,"tail":["a \"quoted\" line","tab\there"]}|}
+    (Campaign.triage_to_json tg)
+
+let fault_gen =
+  let open QCheck.Gen in
+  let bit = int_bound 31 in
+  let loc =
+    oneof
+      [ map2 (fun r b -> Fault.Gpr (r, b)) (int_bound 31) bit;
+        map2 (fun r b -> Fault.Fpr (r, b)) (int_bound 31) bit;
+        map2 (fun a b -> Fault.Code (a, b)) (int_bound 0xffff_ffff) bit;
+        map2 (fun a b -> Fault.Data (a, b)) (int_bound 0xffff_ffff) bit ]
+  in
+  let kind =
+    oneof [ return Fault.Permanent; map (fun n -> Fault.Transient n) nat ]
+  in
+  map2 (fun loc kind -> { Fault.loc; kind }) loc kind
+
+let outcome_gen =
+  QCheck.Gen.(
+    oneof
+      [ return Campaign.Masked; return Campaign.Sdc; return Campaign.Crashed;
+        return Campaign.Hung;
+        map (fun s -> Campaign.Errored s) (string_size (int_bound 24)) ])
+
+let journal_line_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    let header =
+      map
+        (fun (seed, total, (n, i), program) ->
+          { Journal.j_seed = seed; j_total = total;
+            j_shard = (i mod n, n); j_program = program })
+        (quad int nat (pair (int_range 1 8) nat) (string_size (int_bound 40)))
     in
-    go ()
+    let record =
+      map3
+        (fun i f o -> { Journal.r_index = i; r_fault = f; r_outcome = o })
+        nat fault_gen outcome_gen
+    in
+    pair header record
   in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> str ()
-    | Some 't' -> lit "true"
-    | Some 'f' -> lit "false"
-    | Some 'n' -> lit "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then adv ()
-    else
-      let rec members () =
-        skip_ws (); str (); skip_ws (); expect ':'; value (); skip_ws ();
-        match peek () with
-        | Some ',' -> adv (); members ()
-        | Some '}' -> adv ()
-        | _ -> fail ()
-      in
-      members ()
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then adv ()
-    else
-      let rec elems () =
-        value (); skip_ws ();
-        match peek () with
-        | Some ',' -> adv (); elems ()
-        | Some ']' -> adv ()
-        | _ -> fail ()
-      in
-      elems ()
+  prop ~count:500 "journal header/record print then parse = identity"
+    (QCheck.make gen)
+    (fun (h, r) ->
+      Journal.parse_header (Journal.header_line h) = Ok h
+      && Journal.parse_record (Journal.record_line r) = Ok r
+      && Journal.parse_line (Journal.header_line h) = Ok (Journal.Header h)
+      && Journal.parse_line (Journal.record_line r) = Ok (Journal.Record r))
+
+let write_journal path lines =
+  let oc = open_out_bin path in
+  List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
+  close_out oc
+
+let header_line ?(shard = (0, 1)) total =
+  Journal.header_line
+    { Journal.j_seed = 1; j_total = total; j_shard = shard; j_program = "p" }
+
+let record_line i =
+  Journal.record_line
+    { Journal.r_index = i; r_fault = gpr_perm; r_outcome = Campaign.Masked }
+
+(* Each of these was read as a (possibly complete) campaign before the
+   reader checked records against their header and parsed lines as
+   JSON. *)
+let test_journal_read_fails_closed () =
+  let rejects name lines =
+    with_tmp (fun path ->
+        write_journal path lines;
+        match Journal.read path with
+        | Ok (_, rs) ->
+            Alcotest.failf "%s: read accepted %d records" name (List.length rs)
+        | Error _ -> ())
   in
-  match value (); skip_ws (); !pos = n with
-  | r -> r
-  | exception Exit -> false
+  rejects "index past total" [ header_line 2; record_line 0; record_line 7 ];
+  rejects "negative index" [ header_line 2; record_line (-1) ];
+  rejects "outside the shard slice"
+    [ header_line ~shard:(1, 2) 4; record_line 1; record_line 2 ];
+  rejects "unterminated object"
+    [ header_line 2;
+      {|{"i":0,"fault":"gpr:10:24:perm","outcome":"masked"|} ];
+  rejects "garbage around the fields"
+    [ header_line 2;
+      {|xx"i":1,"fault":"gpr:10:24:perm","outcome":"masked"yy|} ];
+  rejects "second header" [ header_line 2; record_line 0; header_line 2 ];
+  (* headers [Journal.header_line] cannot print *)
+  let raw_header ~total shard =
+    S4e_obs.Json.(
+      to_string
+        (Obj
+           [ ("s4e_journal", Int 1); ("seed", Int 1); ("total", Int total);
+             ("shard", String shard); ("program", String "p") ]))
+  in
+  List.iter
+    (fun shard -> rejects ("shard " ^ shard) [ raw_header ~total:2 shard ])
+    [ "2/2"; "-1/2"; "1/0"; "0/-1"; "1/2/3"; "01/2"; "0x1/2"; " 0/1"; "0/1_0" ];
+  rejects "negative total" [ raw_header ~total:(-1) "0/1" ];
+  (* the checked journals still read *)
+  with_tmp (fun path ->
+      write_journal path
+        [ header_line ~shard:(1, 2) 4; record_line 1; record_line 3 ];
+      match Journal.read path with
+      | Ok (h, rs) ->
+          Alcotest.(check bool) "complete shard" true (Journal.is_complete h rs)
+      | Error e -> Alcotest.fail e)
+
+let test_journal_merge_checks_records () =
+  let h n i =
+    { Journal.j_seed = 1; j_total = 4; j_shard = (i, n); j_program = "p" }
+  in
+  let r i =
+    { Journal.r_index = i; r_fault = gpr_perm; r_outcome = Campaign.Masked }
+  in
+  (match Journal.merge [ (h 2 0, [ r 0; r 2 ]); (h 2 1, [ r 1; r 3 ]) ] with
+  | Ok (hm, rs) ->
+      Alcotest.(check (pair int int)) "unsharded" (0, 1) hm.Journal.j_shard;
+      Alcotest.(check int) "all records" 4 (List.length rs)
+  | Error e -> Alcotest.fail e);
+  (match Journal.merge [ (h 2 0, [ r 0; r 1 ]) ] with
+  | Ok _ -> Alcotest.fail "merge accepted a record outside its shard"
+  | Error _ -> ());
+  match Journal.merge [ (h 1 0, [ r 0; r 4 ]) ] with
+  | Ok _ -> Alcotest.fail "merge accepted a record past the total"
+  | Error _ -> ()
+
+(* ---------------- divergence triage ---------------- *)
 
 let test_triage_locates_divergence () =
   let p = program () in
@@ -859,7 +937,8 @@ let test_triage_flow_jsonl_and_top_sites () =
       let line = Campaign.triage_to_json t in
       Alcotest.(check bool) "jsonl: single line" false
         (String.contains line '\n');
-      Alcotest.(check bool) "jsonl: valid JSON" true (json_valid line);
+      Alcotest.(check bool) "jsonl: valid JSON" true
+        (Result.is_ok (S4e_obs.Json.parse line));
       Alcotest.(check bool) "diverged with a named site" true
         (t.Campaign.tg_diverged && String.length t.Campaign.tg_insn > 0))
     recs;
@@ -938,6 +1017,13 @@ let () =
             test_shard_merge_equals_full;
           Alcotest.test_case "cancel then resume" `Quick
             test_cancellation_partial_then_resume ] );
+      ( "journal",
+        [ Alcotest.test_case "line bytes" `Quick test_journal_line_bytes;
+          journal_line_roundtrip;
+          Alcotest.test_case "read fails closed" `Quick
+            test_journal_read_fails_closed;
+          Alcotest.test_case "merge checks records" `Quick
+            test_journal_merge_checks_records ] );
       ( "triage",
         [ Alcotest.test_case "locates first divergence" `Quick
             test_triage_locates_divergence;

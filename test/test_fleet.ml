@@ -5,7 +5,7 @@
    and resume merges to exactly the outcome set of the unsharded
    campaign. *)
 
-module Json = S4e_fleet.Json
+module Json = S4e_obs.Json
 module Http = S4e_fleet.Http
 module Lease = S4e_fleet.Lease
 module Server = S4e_fleet.Server
@@ -28,7 +28,7 @@ let json_gen =
         map (fun b -> Json.Bool b) bool;
         map (fun i -> Json.Int i) (int_range (-1_000_000) 1_000_000);
         map (fun f -> Json.Float (Float.of_int f /. 16.)) (int_range (-4096) 4096);
-        map (fun s -> Json.String s) (string_size ~gen:printable (int_bound 12));
+        map (fun s -> Json.String s) (string_size ~gen:char (int_bound 12));
       ]
   in
   let rec value depth =
@@ -41,7 +41,7 @@ let json_gen =
            map
              (fun kvs -> Json.Obj kvs)
              (list_size (int_bound 4)
-                (pair (string_size ~gen:printable (int_bound 8))
+                (pair (string_size ~gen:char (int_bound 8))
                    (value (depth - 1))))) ]
   in
   value 3
@@ -51,7 +51,14 @@ let json_roundtrip =
     (fun v -> Json.parse (Json.to_string v) = Ok v)
 
 let test_json_parse_strictness () =
-  let bad = [ "{"; "[1,]"; "{\"a\":1,}"; "1 2"; "tru"; "\"\\x\""; "" ] in
+  let bad =
+    [ "{"; "[1,]"; "{\"a\":1,}"; "1 2"; "tru"; "\"\\x\""; "";
+      (* \u takes exactly four hex digits *)
+      {|"\u12_3"|}; {|"\u004"|}; {|"\u00g1"|}; {|"\u+041"|}; {|"\u 041"|};
+      (* surrogates come in high-low pairs *)
+      {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83d\u0041"|}; {|"\ud83dx"|};
+      {|"\ude00\ud83d"|} ]
+  in
   List.iter
     (fun s ->
       match Json.parse s with
@@ -59,7 +66,39 @@ let test_json_parse_strictness () =
       | Error _ -> ())
     bad;
   Alcotest.(check bool) "escapes roundtrip" true
-    (Json.parse "\"a\\n\\\"b\\u0041\"" = Ok (Json.String "a\n\"bA"))
+    (Json.parse "\"a\\n\\\"b\\u0041\"" = Ok (Json.String "a\n\"bA"));
+  (* \u decodes the code point to UTF-8 *)
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check (result string string)) text (Ok want)
+        (Result.map
+           (function Json.String s -> s | v -> Json.to_string v)
+           (Json.parse text)))
+    [ ({|"\u0141"|}, "Ł"); ({|"\u00e9\u00E9"|}, "éé"); ({|"\u0001"|}, "\001");
+      ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80"); ({|"\uffff"|}, "\xef\xbf\xbf");
+      ({|"\u0000"|}, "\000") ]
+
+(* Nesting is bounded: [max_depth] levels parse, one more is an Error,
+   and a megabyte of '[' fails fast instead of recursing a million
+   frames deep. *)
+let test_json_depth_bound () =
+  let nest d = String.make d '[' ^ String.make d ']' in
+  let obj d =
+    String.concat "" (List.init d (fun _ -> {|{"a":|})) ^ "1" ^ String.make d '}'
+  in
+  Alcotest.(check int) "bound" 256 Json.max_depth;
+  Alcotest.(check bool) "arrays at the bound" true
+    (Result.is_ok (Json.parse (nest Json.max_depth)));
+  Alcotest.(check bool) "objects at the bound" true
+    (Result.is_ok (Json.parse (obj Json.max_depth)));
+  Alcotest.(check bool) "arrays past the bound" true
+    (Result.is_error (Json.parse (nest (Json.max_depth + 1))));
+  Alcotest.(check bool) "objects past the bound" true
+    (Result.is_error (Json.parse (obj (Json.max_depth + 1))));
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "1 MB of [" true
+    (Result.is_error (Json.parse (String.make (1 lsl 20) '[')));
+  Alcotest.(check bool) "rejected at once" true (Unix.gettimeofday () -. t0 < 0.5)
 
 let test_json_reads_journal_lines () =
   (* the orchestrator merges journal lines as JSON: every line the
@@ -187,13 +226,17 @@ let call t ?meth path body =
 let jstr k v = Option.get (Json.mem_str k v)
 let jint k v = Option.get (Json.mem_int k v)
 
-let header_line ~seed ~total ~shard:(i, n) ~program =
-  Printf.sprintf
-    "{\"s4e_journal\":1,\"seed\":%d,\"total\":%d,\"shard\":\"%d/%d\",\"program\":\"%s\"}"
-    seed total i n program
+let header_line ~seed ~total ~shard ~program =
+  Journal.header_line
+    { Journal.j_seed = seed; j_total = total; j_shard = shard;
+      j_program = program }
 
 let record_line ~i ~outcome =
-  Printf.sprintf "{\"i\":%d,\"fault\":\"G%d.0P\",\"outcome\":\"%s\"}" i i outcome
+  Journal.record_line
+    { Journal.r_index = i;
+      r_fault = { S4e_fault.Fault.loc = S4e_fault.Fault.Gpr (i mod 32, 0);
+                  kind = S4e_fault.Fault.Permanent };
+      r_outcome = outcome }
 
 let submit t ~shards =
   let _, v =
@@ -228,8 +271,8 @@ let test_server_happy_path () =
   let h = header_line ~seed:1 ~total:4 ~shard:(jint "shard" g0, 2) ~program:"p" in
   let st, v =
     post_records t ~lease:(jstr "lease" g0)
-      ~lines:[ h; record_line ~i:(jint "shard" g0) ~outcome:"masked";
-               record_line ~i:(jint "shard" g0 + 2) ~outcome:"sdc" ]
+      ~lines:[ h; record_line ~i:(jint "shard" g0) ~outcome:Campaign.Masked;
+               record_line ~i:(jint "shard" g0 + 2) ~outcome:Campaign.Sdc ]
   in
   Alcotest.(check int) "records accepted" 200 st;
   Alcotest.(check (option int)) "fresh" (Some 2) (Json.mem_int "accepted" v);
@@ -240,8 +283,8 @@ let test_server_happy_path () =
   Alcotest.(check int) "incomplete shard rejected" 409 st;
   let _ =
     post_records t ~lease:(jstr "lease" g1)
-      ~lines:[ record_line ~i:(jint "shard" g1) ~outcome:"crashed";
-               record_line ~i:(jint "shard" g1 + 2) ~outcome:"hung" ]
+      ~lines:[ record_line ~i:(jint "shard" g1) ~outcome:Campaign.Crashed;
+               record_line ~i:(jint "shard" g1 + 2) ~outcome:Campaign.Hung ]
   in
   let st, v = call t "/api/complete" (Some (Json.Obj [ ("lease", Json.String (jstr "lease" g1)) ])) in
   Alcotest.(check int) "second complete ok" 200 st;
@@ -262,7 +305,7 @@ let test_server_expiry_resume_and_dup () =
   let g = lease t ~worker:"dies" in
   let h = header_line ~seed:1 ~total:3 ~shard:(0, 1) ~program:"p" in
   let _ = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ h; record_line ~i:0 ~outcome:"masked" ] in
+      ~lines:[ h; record_line ~i:0 ~outcome:Campaign.Masked ] in
   (* the worker dies; its lease expires; the shard is re-leased with
      the survivor's records as the resume payload *)
   now := 60.;
@@ -277,15 +320,15 @@ let test_server_expiry_resume_and_dup () =
   (* stale-lease records still merge (the work is valid), but the
      reply tells the dead worker's ghost to stop *)
   let _, v = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ record_line ~i:1 ~outcome:"sdc" ] in
+      ~lines:[ record_line ~i:1 ~outcome:Campaign.Sdc ] in
   Alcotest.(check (option bool)) "ghost told to stop" (Some false)
     (Json.mem_bool "lease_ok" v);
   Alcotest.(check (option int)) "ghost record still merged" (Some 1)
     (Json.mem_int "accepted" v);
   (* duplicates are deduplicated, conflicts fail the job *)
   let _, v = post_records t ~lease:(jstr "lease" g')
-      ~lines:[ record_line ~i:0 ~outcome:"masked";
-               record_line ~i:2 ~outcome:"hung" ] in
+      ~lines:[ record_line ~i:0 ~outcome:Campaign.Masked;
+               record_line ~i:2 ~outcome:Campaign.Hung ] in
   Alcotest.(check (option int)) "dup deduplicated" (Some 1)
     (Json.mem_int "duplicates" v);
   let st, _ = call t "/api/complete"
@@ -302,9 +345,9 @@ let test_server_conflict_fails_job () =
   let g = lease t ~worker:"w" in
   let h = header_line ~seed:1 ~total:2 ~shard:(0, 1) ~program:"p" in
   let _ = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ h; record_line ~i:0 ~outcome:"masked" ] in
+      ~lines:[ h; record_line ~i:0 ~outcome:Campaign.Masked ] in
   let st, _ = post_records t ~lease:(jstr "lease" g)
-      ~lines:[ record_line ~i:0 ~outcome:"sdc" ] in
+      ~lines:[ record_line ~i:0 ~outcome:Campaign.Sdc ] in
   Alcotest.(check int) "conflict reported" 409 st;
   let _, v = call t ~meth:"GET" ("/api/jobs/" ^ job) None in
   Alcotest.(check (option string)) "job failed" (Some "failed")
@@ -322,6 +365,109 @@ let test_server_fairness_across_jobs () =
     2 (List.length (List.filter (( = ) a) owners));
   Alcotest.(check int) "two grants each (b)"
     2 (List.length (List.filter (( = ) b) owners))
+
+(* ---------------- the orchestrator fails closed ---------------- *)
+
+let job_status t job = snd (call t ~meth:"GET" ("/api/jobs/" ^ job) None)
+
+let complete t g =
+  fst
+    (call t "/api/complete"
+       (Some (Json.Obj [ ("lease", Json.String (jstr "lease" g)) ])))
+
+(* Before records were checked against the job's header, a pre-header
+   record was merged unchecked: a bogus index counted towards its
+   shard's quota, the shard completed without record 3, and the job
+   finished "done" with a record set no reader accepts. *)
+let test_server_rejects_preheader_records () =
+  let t = Server.create () in
+  let job = submit t ~shards:2 in
+  let g0 = lease t ~worker:"a" and g1 = lease t ~worker:"b" in
+  let g0, g1 = if jint "shard" g0 = 0 then (g0, g1) else (g1, g0) in
+  List.iter
+    (fun line ->
+      let st, _ = post_records t ~lease:(jstr "lease" g1) ~lines:[ line ] in
+      Alcotest.(check int) ("pre-header line rejected: " ^ line) 400 st;
+      Alcotest.(check int) "nothing merged" 0 (jint "records" (job_status t job)))
+    [ {|{"i":99,"fault":"not-a-fault","outcome":"masked"}|};
+      record_line ~i:(-1) ~outcome:Campaign.Masked;
+      record_line ~i:3 ~outcome:Campaign.Masked ];
+  let st, _ =
+    post_records t ~lease:(jstr "lease" g1)
+      ~lines:[ header_line ~seed:1 ~total:4 ~shard:(1, 2) ~program:"p";
+               record_line ~i:1 ~outcome:Campaign.Sdc ]
+  in
+  Alcotest.(check int) "header then record" 200 st;
+  Alcotest.(check int) "shard 1 lacks record 3" 409 (complete t g1);
+  let _ =
+    post_records t ~lease:(jstr "lease" g0)
+      ~lines:[ header_line ~seed:1 ~total:4 ~shard:(0, 2) ~program:"p";
+               record_line ~i:0 ~outcome:Campaign.Masked;
+               record_line ~i:2 ~outcome:Campaign.Crashed ]
+  in
+  Alcotest.(check int) "shard 0 completes" 200 (complete t g0);
+  Alcotest.(check (option string)) "job still running" (Some "running")
+    (Json.mem_str "state" (job_status t job));
+  let _ =
+    post_records t ~lease:(jstr "lease" g1)
+      ~lines:[ record_line ~i:3 ~outcome:Campaign.Hung ]
+  in
+  Alcotest.(check int) "shard 1 completes" 200 (complete t g1);
+  let st = job_status t job in
+  Alcotest.(check (option string)) "done" (Some "done") (Json.mem_str "state" st);
+  Alcotest.(check int) "every record, no more" 4 (jint "records" st)
+
+let test_server_checks_whole_batches () =
+  let t = Server.create () in
+  let job = submit t ~shards:2 in
+  let g = lease t ~worker:"a" in
+  let shard = jint "shard" g in
+  let h = header_line ~seed:1 ~total:4 ~shard:(shard, 2) ~program:"p" in
+  let mine = record_line ~i:shard ~outcome:Campaign.Masked in
+  let rejected name st =
+    Alcotest.(check int) name 400 st;
+    Alcotest.(check int) (name ^ ": nothing merged") 0
+      (jint "records" (job_status t job))
+  in
+  List.iter
+    (fun (name, lines) ->
+      rejected name (fst (post_records t ~lease:(jstr "lease" g) ~lines)))
+    [ ("index past the total",
+       [ h; mine; record_line ~i:(shard + 4) ~outcome:Campaign.Sdc ]);
+      ("negative index",
+       [ h; mine; record_line ~i:(-2) ~outcome:Campaign.Sdc ]);
+      ("another shard's record",
+       [ h; mine; record_line ~i:(1 - shard) ~outcome:Campaign.Sdc ]);
+      ("unterminated object",
+       [ h; mine; {|{"i":2,"fault":"gpr:2:0:perm","outcome":"masked"|} ]);
+      ("garbage around the fields",
+       [ h; mine; {|xx"i":2,"fault":"gpr:2:0:perm","outcome":"masked"yy|} ]);
+      ("unknown fault", [ h; {|{"i":0,"fault":"G0.0P","outcome":"masked"}|} ]);
+      ("header for another shard",
+       [ header_line ~seed:1 ~total:4 ~shard:(1 - shard, 2) ~program:"p" ]);
+      ("header for another shard count",
+       [ header_line ~seed:1 ~total:4 ~shard:(0, 1) ~program:"p" ]);
+      ("shard not i/n",
+       [ Json.to_string
+           (Json.Obj
+              [ ("s4e_journal", Json.Int 1); ("seed", Json.Int 1);
+                ("total", Json.Int 4);
+                ("shard", Json.String (Printf.sprintf "%d/2x" shard));
+                ("program", Json.String "p") ]) ]) ];
+  rejected "a line that is not a string"
+    (fst
+       (call t "/api/records"
+          (Some
+             (Json.Obj
+                [ ("lease", Json.String (jstr "lease" g));
+                  ("lines", Json.List [ Json.String h; Json.Int 3 ]) ]))));
+  rejected "a lease never granted"
+    (fst (post_records t ~lease:(job ^ ":99") ~lines:[ h; mine ]));
+  Alcotest.(check (option string)) "the job survives bad input" (Some "running")
+    (Json.mem_str "state" (job_status t job));
+  let st, v = post_records t ~lease:(jstr "lease" g) ~lines:[ h; mine ] in
+  Alcotest.(check int) "a good batch" 200 st;
+  Alcotest.(check (option int)) "merged" (Some 1) (Json.mem_int "accepted" v)
 
 (* ---------------- the determinism property (satellite) ------------- *)
 
@@ -464,6 +610,186 @@ let fleet_determinism =
           && h.Journal.j_shard = (0, 1)
           && got = want)
 
+(* ---------------- merged journals ---------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+(* The orchestrator writes its merged journal with the writer that
+   [s4e merge-journals -o] uses, so the two files are equal byte for
+   byte. *)
+let test_fleet_journal_equals_merge () =
+  let p = fleet_program () in
+  let cfg = flow_cfg ~seed:5 ~n:14 in
+  let dir = temp_dir "s4e_fleet_merge" in
+  let t = Server.create ~journal_dir:dir () in
+  let job = submit t ~shards:3 in
+  let shards =
+    List.init 3 (fun _ ->
+        let g = lease t ~worker:"w" in
+        let path =
+          Filename.concat dir (Printf.sprintf "shard%d.jsonl" (jint "shard" g))
+        in
+        let lines = ref [] in
+        (match
+           Flows.fault_campaign ~journal:path ~shard:(jint "shard" g, 3)
+             ~on_journal_line:(fun l -> lines := l :: !lines)
+             cfg p
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        let st, _ =
+          post_records t ~lease:(jstr "lease" g) ~lines:(List.rev !lines)
+        in
+        Alcotest.(check int) "records accepted" 200 st;
+        Alcotest.(check int) "shard complete" 200 (complete t g);
+        path)
+  in
+  let merged = Filename.concat dir "merged.jsonl" in
+  (match
+     Journal.merge (List.map (fun f -> Result.get_ok (Journal.read f)) shards)
+   with
+  | Error e -> Alcotest.fail e
+  | Ok (h, records) ->
+      let w = Result.get_ok (Journal.create ~path:merged h) in
+      List.iter (Journal.write w) records;
+      Journal.close w);
+  let fleet = Filename.concat dir (job ^ ".jsonl") in
+  Alcotest.(check string) "fleet journal = merge-journals -o" (read_file merged)
+    (read_file fleet);
+  List.iter Sys.remove (merged :: fleet :: shards);
+  Unix.rmdir dir
+
+(* ---------------- mutation fuzz of the one reader ---------------- *)
+
+let mutate rng s =
+  let n = String.length s in
+  let pos () = Random.State.int rng (n + 1) in
+  match Random.State.int rng 6 with
+  | 0 when n > 0 ->
+      (* flip bits of one byte *)
+      let b = Bytes.of_string s in
+      let p = Random.State.int rng n in
+      Bytes.set b p
+        (Char.chr (Char.code s.[p] lxor (1 + Random.State.int rng 255)));
+      Bytes.to_string b
+  | 1 -> String.sub s 0 (pos ())
+  | 2 ->
+      (* splice a slice of the text in somewhere else *)
+      let a = pos () in
+      let len = Random.State.int rng (n - a + 1) in
+      let p = pos () in
+      String.sub s 0 p ^ String.sub s a len ^ String.sub s p (n - p)
+  | 3 ->
+      (* duplicate a line *)
+      let lines = String.split_on_char '\n' s in
+      let k = Random.State.int rng (List.length lines) in
+      String.concat "\n"
+        (List.concat
+           (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) lines))
+  | 4 ->
+      let p = pos () in
+      String.sub s 0 p ^ String.make (Random.State.int rng 2000) '['
+      ^ String.sub s p (n - p)
+  | _ -> (
+      (* join a line to the next *)
+      match String.index_from_opt s (min (pos ()) (max 0 (n - 1))) '\n' with
+      | Some i -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | None -> s)
+
+let mutant_lines ~shard ~total =
+  header_line ~seed:1 ~total ~shard:(shard, 2) ~program:"p"
+  :: List.filter_map
+       (fun i ->
+         if i mod 2 <> shard then None
+         else
+           Some
+             (Journal.record_line
+                { Journal.r_index = i;
+                  r_fault =
+                    { S4e_fault.Fault.loc =
+                        S4e_fault.Fault.Code (0x8000_0000 + (4 * i), i);
+                      kind = S4e_fault.Fault.Transient (10 * i) };
+                  r_outcome =
+                    (if i mod 3 = 0 then Campaign.Errored "x \"y\"\\\n\001 Ł"
+                     else Campaign.Sdc) }))
+       (List.init total Fun.id)
+
+(* [Journal.read] on mutated journal files: [Ok] with records that pass
+   [Journal.check], sorted and unique, or an [Error]; never an
+   exception. *)
+let journal_read_fuzz =
+  prop ~count:300 "mutated journals read as Ok with checked records, or Error"
+    QCheck.(pair small_nat int)
+    (fun (extra, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let lines = mutant_lines ~shard:(seed land 1) ~total:(6 + (extra mod 10)) in
+      let text = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+      let text =
+        List.fold_left (fun s _ -> mutate rng s) text
+          (List.init (1 + Random.State.int rng 3) Fun.id)
+      in
+      let path = Filename.temp_file "s4e_fuzz" ".jsonl" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let r = Journal.read path in
+      Sys.remove path;
+      match r with
+      | Error _ -> true
+      | Ok (h, rs) ->
+          let idx = List.map (fun r -> r.Journal.r_index) rs in
+          List.for_all (fun r -> Journal.check h r = Ok ()) rs
+          && List.sort_uniq compare idx = idx)
+
+(* [/api/records] bodies with mutated lines and mutated JSON, through
+   [Server.handle]: every reply is a 200 or a 4xx, and a job never
+   reaches "done" with fewer records than its total. *)
+let records_fuzz =
+  prop ~count:300 "mutated record batches: 200 or 4xx, never done short"
+    QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let t = Server.create () in
+      let job = submit t ~shards:2 in
+      let total = 7 in
+      let handle path body =
+        (Server.handle t
+           { Http.rq_method = "POST"; rq_path = path; rq_headers = [];
+             rq_body = body }).Http.rs_status
+      in
+      let statuses =
+        List.concat_map
+          (fun g ->
+            let lease = Json.String (jstr "lease" g) in
+            let lines =
+              List.map
+                (fun l -> if Random.State.int rng 4 = 0 then mutate rng l else l)
+                (mutant_lines ~shard:(jint "shard" g) ~total)
+            in
+            let body =
+              Json.to_string
+                (Json.Obj
+                   [ ("lease", lease);
+                     ("lines",
+                      Json.List (List.map (fun l -> Json.String l) lines)) ])
+            in
+            let body =
+              if Random.State.int rng 3 = 0 then mutate rng body else body
+            in
+            let posted = handle "/api/records" body in
+            [ posted;
+              handle "/api/complete"
+                (Json.to_string (Json.Obj [ ("lease", lease) ])) ])
+          [ lease t ~worker:"a"; lease t ~worker:"b" ]
+      in
+      let st = job_status t job in
+      List.for_all (fun s -> s = 200 || (s >= 400 && s < 500)) statuses
+      && (Json.mem_str "state" st <> Some "done" || jint "records" st = total))
+
 (* ---------------- process gauges ---------------- *)
 
 let test_process_gauges () =
@@ -533,7 +859,7 @@ let test_worker_wakes_heartbeat_on_shard_end () =
       | _ -> Alcotest.fail "submit");
       let runner ~spec:_ ~shard:(i, n) ~resume:_ ~emit ~cancelled:_ =
         emit (header_line ~seed:1 ~total:n ~shard:(i, n) ~program:"p");
-        emit (record_line ~i ~outcome:"masked");
+        emit (record_line ~i ~outcome:Campaign.Masked);
         Ok ()
       in
       let t0 = Unix.gettimeofday () in
@@ -555,6 +881,7 @@ let () =
         [ json_roundtrip;
           Alcotest.test_case "parse strictness" `Quick
             test_json_parse_strictness;
+          Alcotest.test_case "depth bound" `Quick test_json_depth_bound;
           Alcotest.test_case "reads journal lines" `Quick
             test_json_reads_journal_lines ] );
       ( "http",
@@ -570,11 +897,18 @@ let () =
           Alcotest.test_case "conflict fails job" `Quick
             test_server_conflict_fails_job;
           Alcotest.test_case "fairness across jobs" `Quick
-            test_server_fairness_across_jobs ] );
+            test_server_fairness_across_jobs;
+          Alcotest.test_case "pre-header records rejected" `Quick
+            test_server_rejects_preheader_records;
+          Alcotest.test_case "whole batches checked" `Quick
+            test_server_checks_whole_batches ] );
+      ("fuzz", [ journal_read_fuzz; records_fuzz ]);
       ( "worker",
         [ Alcotest.test_case "alarm wakes a sleeper" `Quick test_alarm_wakes_sleeper;
           Alcotest.test_case "shard end wakes the heartbeat" `Quick
             test_worker_wakes_heartbeat_on_shard_end ] );
       ( "fleet",
         [ fleet_determinism;
+          Alcotest.test_case "merged journal = merge-journals -o" `Quick
+            test_fleet_journal_equals_merge;
           Alcotest.test_case "process gauges" `Quick test_process_gauges ] ) ]

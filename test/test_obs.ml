@@ -118,11 +118,11 @@ let test_json_export_escapes_keys () =
   let t = Metrics.create () in
   let key = "odd\"key\\with\nnewline\001" in
   Metrics.add (Metrics.counter t key) 7;
-  match S4e_fleet.Json.parse (Metrics.to_json t) with
+  match S4e_obs.Json.parse (Metrics.to_json t) with
   | Error e -> Alcotest.failf "metrics export is not JSON: %s" e
   | Ok v ->
       Alcotest.(check (option int)) "key intact" (Some 7)
-        (S4e_fleet.Json.mem_int key v)
+        (S4e_obs.Json.mem_int key v)
 
 (* a registry counter is safe to bump from several domains at once *)
 let test_counter_cross_domain () =

@@ -300,7 +300,32 @@ let () =
    check "merge-journals --json reports incompleteness in the exit code"
      (Printf.sprintf "%s merge-journals %s --json" s4e s0)
      ~expect_code:1
-     ~expect_substrings:[ "\"complete\":false"; "\"records\":13" ]);
+     ~expect_substrings:[ "\"complete\":false"; "\"records\":13" ];
+   check "merge-journals --json counts the summary's total"
+     (Printf.sprintf "%s merge-journals %s %s --json" s4e s0 s1)
+     ~expect_code:0
+     ~expect_substrings:[ "\"errored\":0,\"total\":25}" ]);
+  (* journals whose records do not fit their header, or whose lines are
+     not JSON, fail the read instead of merging *)
+  (let bad = Filename.concat dir "bad.jsonl" in
+   let header =
+     {|{"s4e_journal":1,"seed":1,"total":2,"shard":"0/1","program":"p"}|}
+   in
+   List.iter
+     (fun (name, lines) ->
+       write_file bad (String.concat "\n" (header :: lines) ^ "\n");
+       check ("merge-journals rejects " ^ name)
+         (Printf.sprintf "%s merge-journals %s" s4e bad)
+         ~expect_code:1 ~expect_substrings:[ "merge-journals:"; "journal:" ])
+     [ ("a record past the total",
+        [ {|{"i":0,"fault":"gpr:1:0:perm","outcome":"masked"}|};
+          {|{"i":7,"fault":"gpr:1:0:perm","outcome":"masked"}|} ]);
+       ("an unterminated object",
+        [ {|{"i":0,"fault":"gpr:1:0:perm","outcome":"masked"|};
+          {|{"i":1,"fault":"gpr:1:0:perm","outcome":"masked"}|} ]);
+       ("text around the fields",
+        [ {|{"i":0,"fault":"gpr:1:0:perm","outcome":"masked"}|};
+          {|xx"i":1,"fault":"gpr:1:0:perm","outcome":"masked"yy|} ]) ]);
   (let j = Filename.concat dir "killed.jsonl" in
    let part = Filename.concat dir "killed.out" in
    let args =
