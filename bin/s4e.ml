@@ -78,12 +78,17 @@ let config_term =
 
 (* ---------------- run ---------------- *)
 
+(* The I/D cache model is hook-driven, and any hook moves a run off the
+   lowered engine, so it gets a machine of its own: every engine counter
+   [run] prints then describes the unhooked run. *)
+let cache_run ~config ~fuel load =
+  let m = S4e_cpu.Machine.create ~config () in
+  let c = S4e_cpu.Cache_model.attach m in
+  load m;
+  let (_ : S4e_cpu.Machine.stop_reason) = S4e_cpu.Machine.run m ~fuel in
+  c
+
 let run_cmd =
-  let trace_arg =
-    Arg.(value & opt (some int) None & info [ "trace" ] ~docv:"N"
-           ~doc:"Print the last N executed instructions and control-flow \
-                 statistics after the run.")
-  in
   let input_arg =
     Arg.(value & opt (some string) None & info [ "input" ] ~docv:"BYTES"
            ~doc:"Bytes to feed into the UART receive queue before running.")
@@ -91,7 +96,10 @@ let run_cmd =
   let cache_arg =
     Arg.(value & flag & info [ "cache-stats" ]
            ~doc:"Model 4 KiB 2-way I/D caches and report hit rates (plus \
-                 translation-block cache statistics).")
+                 translation-block cache statistics). The cache model \
+                 runs on a second machine with the same program, input \
+                 and fuel; every other counter describes the unhooked \
+                 run.")
   in
   let profile_arg =
     Arg.(value & flag & info [ "profile" ]
@@ -119,22 +127,21 @@ let run_cmd =
     Arg.(value & opt ~vopt:(Some 256) (some int) None & info [ "record" ]
            ~docv:"N"
            ~doc:"Arm the flight recorder with an N-record ring (default \
-                 256) and dump the disassembled recorder tail when the run \
-                 ends in a trap, fuel exhaustion, or a WFI halt. Unlike \
-                 --trace, recording keeps the lowered fast path and never \
-                 changes the run's outcome.")
+                 256), then print the disassembled recorder tail and its \
+                 branch, call and return counts however the run stops. \
+                 Recording keeps the lowered fast path and never changes \
+                 the run's outcome.")
   in
-  let action file fuel trace input cache_stats profile metrics config
-      trace_stats trace_events record =
+  let action file fuel input cache_stats profile metrics config trace_stats
+      trace_events record =
     let p = assemble_file file in
-    let m = S4e_cpu.Machine.create ~config () in
-    let tracer =
-      Option.map
-        (fun depth -> S4e_cpu.Tracer.attach m.S4e_cpu.Machine.hooks ~depth)
-        trace
+    let load m =
+      S4e_asm.Program.load_machine p m;
+      Option.iter (S4e_soc.Uart.feed m.S4e_cpu.Machine.uart) input
     in
+    let m = S4e_cpu.Machine.create ~config () in
     let caches =
-      if cache_stats then Some (S4e_cpu.Cache_model.attach m) else None
+      if cache_stats then Some (cache_run ~config ~fuel load) else None
     in
     let reg =
       Option.map
@@ -168,35 +175,26 @@ let run_cmd =
     (match (reg, tev) with
     | None, None -> ()
     | _ -> S4e_cpu.Machine.observe_devices ?metrics:reg ?trace:tev m);
-    S4e_asm.Program.load_machine p m;
-    (match input with
-    | Some s -> S4e_soc.Uart.feed m.S4e_cpu.Machine.uart s
-    | None -> ());
+    load m;
     let stop = S4e_cpu.Machine.run m ~fuel in
     print_string (S4e_cpu.Machine.uart_output m);
     Format.printf "@.-- %a; %d instructions, %d cycles@."
       S4e_cpu.Machine.pp_stop_reason stop
       (S4e_cpu.Machine.instret m) (S4e_cpu.Machine.cycles m);
-    (match rcd with
-    | None -> ()
-    | Some r -> (
-        match stop with
-        | S4e_cpu.Machine.Exited _ -> ()
-        | _ ->
-            Format.printf "flight recorder tail (last %d of %d records):@."
-              (S4e_obs.Flight_recorder.length r)
-              (S4e_obs.Flight_recorder.seq r);
-            List.iter
-              (fun rc ->
-                Format.printf "  %a%s@." S4e_obs.Flight_recorder.pp_record rc
-                  (match rc.S4e_obs.Flight_recorder.r_kind with
-                  | S4e_obs.Flight_recorder.Retire
-                  | S4e_obs.Flight_recorder.Watch ->
-                      "  "
-                      ^ S4e_asm.Disasm.disassemble_word
-                          rc.S4e_obs.Flight_recorder.r_op
-                  | _ -> ""))
-              (S4e_obs.Flight_recorder.records r)));
+    Option.iter
+      (fun r ->
+        let recs = S4e_obs.Flight_recorder.records r in
+        Format.printf "flight recorder tail (last %d of %d records):@."
+          (S4e_obs.Flight_recorder.length r)
+          (S4e_obs.Flight_recorder.seq r);
+        List.iter
+          (fun rc -> Format.printf "  %s@." (S4e_asm.Disasm.record_line rc))
+          recs;
+        let f = S4e_asm.Disasm.flow recs in
+        Format.printf "branches: %d (%d taken), calls: %d, returns: %d@."
+          f.S4e_asm.Disasm.branches f.S4e_asm.Disasm.taken
+          f.S4e_asm.Disasm.calls f.S4e_asm.Disasm.returns)
+      rcd;
     (match caches with
     | None -> ()
     | Some c ->
@@ -278,24 +276,15 @@ let run_cmd =
     (match (reg, metrics) with
     | Some reg, Some path -> S4e_obs.Metrics.write_json reg path
     | _ -> ());
-    (match (tev, trace_events) with
+    match (tev, trace_events) with
     | Some t, Some path -> S4e_obs.Trace_events.write t path
-    | _ -> ());
-    match tracer with
-    | None -> ()
-    | Some t ->
-        let s = S4e_cpu.Tracer.stats t in
-        Format.printf "trace tail:@.%a" S4e_cpu.Tracer.pp_tail t;
-        Format.printf
-          "branches: %d (%d taken), calls: %d, returns: %d@."
-          s.S4e_cpu.Tracer.st_branches s.S4e_cpu.Tracer.st_taken
-          s.S4e_cpu.Tracer.st_calls s.S4e_cpu.Tracer.st_returns
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Assemble and execute a program on the virtual prototype.")
-    Term.(const action $ file_arg $ fuel_arg $ trace_arg $ input_arg
-          $ cache_arg $ profile_arg $ metrics_arg $ config_term
-          $ trace_stats_arg $ trace_events_arg $ record_arg)
+    Term.(const action $ file_arg $ fuel_arg $ input_arg $ cache_arg
+          $ profile_arg $ metrics_arg $ config_term $ trace_stats_arg
+          $ trace_events_arg $ record_arg)
 
 (* ---------------- profile ---------------- *)
 

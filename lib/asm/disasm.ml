@@ -38,3 +38,47 @@ let disassemble_program p =
 let pp_line fmt l =
   if l.size = 2 then Format.fprintf fmt "%08x:     %04x  %s" l.pc l.raw l.text
   else Format.fprintf fmt "%08x: %08x  %s" l.pc l.raw l.text
+
+module Fr = S4e_obs.Flight_recorder
+
+let record_line (rc : Fr.record) =
+  let base = Format.asprintf "%a" Fr.pp_record rc in
+  match rc.Fr.r_kind with
+  | Fr.Retire -> base ^ "  " ^ disassemble_word rc.Fr.r_op
+  | Fr.Trap | Fr.Irq | Fr.Dev -> base
+
+type flow = { branches : int; taken : int; calls : int; returns : int }
+
+(* A branch's outcome is read off the record after it: every record
+   carries the pc at its boundary, so the successor's pc is where
+   control went, whether it retired there or trapped or took an
+   interrupt first. *)
+let flow records =
+  let open S4e_isa.Instr in
+  let rec go acc = function
+    | [] -> acc
+    | (rc : Fr.record) :: rest -> (
+        let acc =
+          match rc.Fr.r_kind with
+          | Fr.Trap | Fr.Irq | Fr.Dev -> acc
+          | Fr.Retire -> (
+              match S4e_isa.Decode.decode rc.Fr.r_op with
+              | Some (Branch (_, _, _, off)) ->
+                  let target =
+                    S4e_bits.Bits.add rc.Fr.r_pc (S4e_bits.Bits.of_signed off)
+                  in
+                  let taken =
+                    match rest with
+                    | next :: _ when next.Fr.r_pc = target -> acc.taken + 1
+                    | _ -> acc.taken
+                  in
+                  { acc with branches = acc.branches + 1; taken }
+              | Some (Jalr (0, rs1, 0)) when rs1 = S4e_isa.Reg.ra ->
+                  { acc with returns = acc.returns + 1 }
+              | Some (Jal (rd, _) | Jalr (rd, _, _)) when rd <> 0 ->
+                  { acc with calls = acc.calls + 1 }
+              | _ -> acc)
+        in
+        go acc rest)
+  in
+  go { branches = 0; taken = 0; calls = 0; returns = 0 } records

@@ -14,8 +14,8 @@
       ({!S4e_isa.Instr.source_mask});
     - hook dispatch is specialized away entirely — the machine only
       runs lowered blocks while {!Hooks.is_empty} holds, falling back
-      to the generic path the moment a tracer / coverage / cache-model
-      / fault-monitor client registers.
+      to the generic path the moment a coverage / cache-model /
+      fault-monitor client registers.
 
     Cycle charges are returned by each µop and batched by the machine;
     µops that can observe time (CSR accesses and device-space bus

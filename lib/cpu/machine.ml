@@ -58,16 +58,6 @@ let pp_stop_reason fmt = function
   | Out_of_fuel -> Format.pp_print_string fmt "out of fuel"
   | Wfi_halt -> Format.pp_print_string fmt "halted in wfi"
 
-(* Address-range data probe, checked on the recording path (where
-   effective addresses are materialized).  [wp_hi] is exclusive. *)
-type watchpoint = {
-  wp_lo : word;
-  wp_hi : word;
-  wp_read : bool;
-  wp_write : bool;
-  mutable wp_hits : int;
-}
-
 (* One hart's private execution context: architectural state plus the
    translation machinery bound to it.  Lowered µop closures capture
    their [Arch_state.t] at translate time, so translated code is
@@ -120,8 +110,6 @@ type t = {
          exactly like uninterrupted ones. *)
   mutable profiler : S4e_obs.Profile.t option;
   mutable recorder : S4e_obs.Flight_recorder.t option;
-  mutable watchpoints : watchpoint array;
-  mutable watch_trace : S4e_obs.Trace_events.t option;
 }
 
 exception Stop of stop_reason
@@ -393,8 +381,7 @@ let create ?(config = default_config) () =
     { bus; uart; clint; gpio; syscon; wheel; dma; vnet; plic;
       hooks = Hooks.create (); config; decode32; pending_ticks; seg_idx;
       seg_base; fuel_left; exit_dirty; harts; cur = 0; rr = 0;
-      profiler = None; recorder = None; watchpoints = [||];
-      watch_trace = None }
+      profiler = None; recorder = None }
   in
   (* The superblock engine only runs where the lowered+chained engine
      runs (chain-edge heat drives promotion), so don't even install the
@@ -472,9 +459,6 @@ let set_profiler t p = t.profiler <- p
 let profiler t = t.profiler
 let set_recorder t r = t.recorder <- r
 let recorder t = t.recorder
-let set_watchpoints t wps = t.watchpoints <- Array.of_list wps
-let watchpoints t = Array.to_list t.watchpoints
-let set_watch_trace t tr = t.watch_trace <- tr
 let state t = t.harts.(t.cur).hx_state
 
 (* Counters and engine telemetry sum over every hart (a one-hart
@@ -867,31 +851,7 @@ let run_slice t h ~fuel =
     let value = if addr >= 0 && (not store) && rd >= 0 then rd_val
                 else !rec_value in
     S4e_obs.Flight_recorder.retire r ~pc ~op ~rd ~rd_val ~addr ~width ~value
-      ~store;
-    let wps = t.watchpoints in
-    if addr >= 0 && Array.length wps > 0 then
-      for k = 0 to Array.length wps - 1 do
-        let w = Array.unsafe_get wps k in
-        if
-          addr < w.wp_hi
-          && addr + width > w.wp_lo
-          && (if store then w.wp_write else w.wp_read)
-        then begin
-          w.wp_hits <- w.wp_hits + 1;
-          S4e_obs.Flight_recorder.watch_hit r ~pc ~op ~addr ~width ~value
-            ~store;
-          match t.watch_trace with
-          | Some tr ->
-              S4e_obs.Trace_events.instant tr
-                ~args:
-                  [ ("pc", Printf.sprintf "0x%08x" pc);
-                    ("addr", Printf.sprintf "0x%08x" addr);
-                    ("value", Printf.sprintf "0x%x" value);
-                    ("dir", if store then "w" else "r") ]
-                ~name:"watchpoint" ~cat:"watch" ~tid:0 ()
-          | None -> ()
-        end
-      done
+      ~store
   in
   (* Execute one decoded instruction (generic interpreter); raises Stop
      on exit conditions. *)

@@ -105,19 +105,6 @@ type stop_reason =
 
 val pp_stop_reason : Format.formatter -> stop_reason -> unit
 
-(** Address-range data probe.  Hits are observed on the recording path
-    — where effective addresses are materialized — so watchpoints only
-    fire while a {!Flight_recorder} is attached ({!set_watchpoints}).
-    [wp_hi] is exclusive; an access [\[addr, addr+width)] hits when the
-    ranges overlap and the direction matches. *)
-type watchpoint = {
-  wp_lo : word;
-  wp_hi : word;
-  wp_read : bool;
-  wp_write : bool;
-  mutable wp_hits : int;
-}
-
 (** One hart's private execution context.  Lowered µop closures capture
     the {!Arch_state.t} they were translated against, so translated
     code is hart-bound: each hart owns a TB cache, lowering context,
@@ -189,12 +176,6 @@ type t = {
       (** per-block hot-spot attribution; prefer {!set_profiler} *)
   mutable recorder : S4e_obs.Flight_recorder.t option;
       (** retired-instruction flight recorder; prefer {!set_recorder} *)
-  mutable watchpoints : watchpoint array;
-      (** address-range probes checked on the recording path; prefer
-          {!set_watchpoints} *)
-  mutable watch_trace : S4e_obs.Trace_events.t option;
-      (** optional trace sink for watchpoint-hit instants; prefer
-          {!set_watch_trace} *)
 }
 
 val create : ?config:config -> unit -> t
@@ -231,18 +212,6 @@ val set_recorder : t -> S4e_obs.Flight_recorder.t option -> unit
     to it, so sequence numbers stay continuous across campaign forks. *)
 
 val recorder : t -> S4e_obs.Flight_recorder.t option
-
-val set_watchpoints : t -> watchpoint list -> unit
-(** Installs address-range read/write probes.  A hit bumps the
-    watchpoint's [wp_hits], appends a [Watch] record to the attached
-    recorder, and (with {!set_watch_trace}) emits a Chrome-trace
-    instant (cat ["watch"]).  Watchpoints live on the recording path:
-    they observe nothing unless a recorder is attached, and they never
-    perturb digests. *)
-
-val watchpoints : t -> watchpoint list
-
-val set_watch_trace : t -> S4e_obs.Trace_events.t option -> unit
 
 val tb_stats : t -> Tb_cache.stats
 (** Translation-block cache counters summed over every hart. *)

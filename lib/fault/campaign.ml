@@ -157,13 +157,15 @@ let classify ~(golden : signature) m stop =
   | Machine.Fatal_trap _ -> Crashed
   | Machine.Out_of_fuel | Machine.Wfi_halt -> Hung
 
-let run_one ?config ~fuel program ~golden fault =
+(* A mutant from reset: arm, run with [run] (plain [Machine.run], or a
+   runner that also polls a deadline), disarm, classify. *)
+let run_from_reset ?config ~run ~fuel program ~golden fault =
   let m = run_machine ?config program in
   let run_armed fuel =
     let armed = Injector.arm m fault in
-    let stop = Machine.run m ~fuel in
-    Injector.disarm m armed;
-    stop
+    Fun.protect
+      ~finally:(fun () -> Injector.disarm m armed)
+      (fun () -> run m ~fuel)
   in
   let stop =
     match fault.Fault.kind with
@@ -179,11 +181,14 @@ let run_one ?config ~fuel program ~golden fault =
            to the same instruction everywhere, which is what makes
            engine and rerun classifications comparable at all. *)
         match run_armed n with
-        | Machine.Out_of_fuel -> Machine.run m ~fuel:(fuel - n)
+        | Machine.Out_of_fuel -> run m ~fuel:(fuel - n)
         | stop -> stop)
     | _ -> run_armed fuel
   in
   classify ~golden m stop
+
+let run_one ?config ~fuel program ~golden fault =
+  run_from_reset ?config ~run:Machine.run ~fuel program ~golden fault
 
 (* ---------------- the campaign engine ---------------- *)
 
@@ -191,17 +196,14 @@ type engine = {
   eng_jobs : int;
   eng_fork : bool;
   eng_checkpoint : int;
-  eng_escape : bool;
   eng_timeout_s : float;
 }
 
 let default_engine =
-  { eng_jobs = 1; eng_fork = true; eng_checkpoint = 1024; eng_escape = false;
-    eng_timeout_s = 0.0 }
+  { eng_jobs = 1; eng_fork = true; eng_checkpoint = 1024; eng_timeout_s = 0.0 }
 
 let rerun_engine =
-  { eng_jobs = 1; eng_fork = false; eng_checkpoint = 0; eng_escape = false;
-    eng_timeout_s = 0.0 }
+  { eng_jobs = 1; eng_fork = false; eng_checkpoint = 0; eng_timeout_s = 0.0 }
 
 (* ---------------- sharding ---------------- *)
 
@@ -244,17 +246,15 @@ let clint_lo = S4e_soc.Memory_map.clint_base
 let clint_hi = S4e_soc.Memory_map.clint_base + 0x10000
 
 (* The golden run's checkpoint trace: state digests at every [interval]
-   retired instructions, the executed-pc range, and the golden run's
-   own classification (what a run that never diverges must be).  Each
-   checkpoint keeps the time-dependent counters next to the relaxed
-   digest so the guard can apply either strictness. *)
+   retired instructions and the golden run's own classification (what a
+   run that never diverges must be).  Each checkpoint keeps the
+   time-dependent counters next to the relaxed digest so the guard can
+   apply either strictness. *)
 type trace = {
   tr_interval : int;
   tr_digests : (int, int * string * int * int) Hashtbl.t;
       (** instret -> (cheap fingerprint, time-relaxed state digest,
           cycle, CLINT mtime) *)
-  tr_code_lo : int;
-  tr_code_hi : int;
   tr_strict : bool;
       (** the golden run observes time, so convergence must also match
           cycle and mtime *)
@@ -265,8 +265,6 @@ let collect_trace ?config ~fuel ~interval ~golden program =
   let m = run_machine ?config program in
   let st = Machine.state m in
   let digests = Hashtbl.create 64 in
-  let lo = ref max_int in
-  let hi = ref 0 in
   let timed = ref false in
   let mem_id =
     Hooks.on_mem m.Machine.hooks (fun ev ->
@@ -274,9 +272,7 @@ let collect_trace ?config ~fuel ~interval ~golden program =
         if a >= clint_lo && a < clint_hi then timed := true)
   in
   let id =
-    Hooks.on_insn m.Machine.hooks (fun pc instr ->
-        if pc < !lo then lo := pc;
-        if pc + 4 > !hi then hi := pc + 4;
+    Hooks.on_insn m.Machine.hooks (fun _ instr ->
         (match instr with
         | S4e_isa.Instr.Wfi -> timed := true
         | S4e_isa.Instr.Csr (_, _, csr, _) when is_time_csr csr ->
@@ -296,8 +292,6 @@ let collect_trace ?config ~fuel ~interval ~golden program =
   Hooks.unregister m.Machine.hooks mem_id;
   { tr_interval = interval;
     tr_digests = digests;
-    tr_code_lo = (if !lo = max_int then 0 else !lo);
-    tr_code_hi = !hi;
     tr_strict = !timed;
     tr_outcome = classify ~golden m stop }
 
@@ -416,12 +410,6 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
     let interval = tr.tr_interval in
     let next_full = ref 0 in
     let stride = ref 1 in
-    let escaped () =
-      engine.eng_escape
-      && st.Arch_state.mtvec = 0
-      && (st.Arch_state.pc < tr.tr_code_lo
-         || st.Arch_state.pc >= tr.tr_code_hi)
-    in
     let rec go budget =
       let ir = st.Arch_state.instret in
       if budget <= 0 then classify ~golden m Machine.Out_of_fuel
@@ -437,7 +425,6 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
         bump tel.tel_early;
         tr.tr_outcome
       end
-      else if escaped () then Crashed
       else begin
         let next_ck =
           let c = ((ir / interval) + 1) * interval in
@@ -467,23 +454,9 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
      mutant its classification if the plain path still works. *)
   let retry_naive fault =
     let dl = deadline () in
-    let m2 = run_machine ?config program in
-    let run_armed budget =
-      let armed = Injector.arm m2 fault in
-      Fun.protect
-        ~finally:(fun () -> Injector.disarm m2 armed)
-        (fun () -> run_deadline m2 ~dl ~fuel:budget)
-    in
-    let stop =
-      match fault.Fault.kind with
-      | Fault.Transient n when n < fuel -> (
-          (* same injection-boundary segmentation as [run_one] *)
-          match run_armed n with
-          | Machine.Out_of_fuel -> run_deadline m2 ~dl ~fuel:(fuel - n)
-          | stop -> stop)
-      | _ -> run_armed fuel
-    in
-    classify ~golden m2 stop
+    run_from_reset ?config
+      ~run:(fun m ~fuel -> run_deadline m ~dl ~fuel)
+      ~fuel program ~golden fault
   in
   let run_faulty ~slot ~budget ~inert_at ~orig fault =
     (* The convergence guard only applies to transients: stuck-at
@@ -803,17 +776,11 @@ type triage_record = {
    same segmentation contract as [run_one]. *)
 let triage_burst = 256
 
-let render_record rc =
-  let open Obs.Flight_recorder in
-  let base = Format.asprintf "%a" pp_record rc in
-  match rc.r_kind with
-  | Retire | Watch -> base ^ "  " ^ S4e_asm.Disasm.disassemble_word rc.r_op
-  | Trap | Irq | Dev -> base
-
 let recorder_tail ?(limit = max_int) r =
   let recs = Obs.Flight_recorder.records r in
   let len = List.length recs in
-  List.filteri (fun i _ -> i >= len - limit) recs |> List.map render_record
+  List.filteri (fun i _ -> i >= len - limit) recs
+  |> List.map S4e_asm.Disasm.record_line
 
 (* Architectural register/CSR diff between two machines, GPRs first.
    Capped — a wildly diverged mutant differs everywhere, and the first
@@ -958,7 +925,7 @@ let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
             in
             let insn =
               match at_j with
-              | Some rc -> render_record rc
+              | Some rc -> S4e_asm.Disasm.record_line rc
               | None -> ""
             in
             (* capture the mutant's tail up to the diverging record now
@@ -968,7 +935,7 @@ let triage_one ?config ~tail ~fuel program (index, fault, outcome) =
               List.filter
                 (fun rc -> rc.Obs.Flight_recorder.r_seq <= div_seq)
                 (Obs.Flight_recorder.records rm)
-              |> List.map render_record
+              |> List.map S4e_asm.Disasm.record_line
               |> fun l ->
               let len = List.length l in
               List.filteri (fun i _ -> i >= len - tail) l

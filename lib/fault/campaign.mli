@@ -108,11 +108,6 @@ val run_one :
       access) the comparison ignores the cycle and mtime counters:
       a reconverged run whose only residue is a skewed cycle counter —
       the common case after a perturbed branch — still exits early.
-      [eng_escape] additionally classifies a run as [Crashed] when a
-      checkpoint pause finds the pc outside the golden code range with
-      trap handling uninstalled ([mtvec = 0]); this is a heuristic
-      (such a run could in principle wander back) and is therefore off
-      by default.
 
     Caveat: forking, burst pauses, and early exit change where
     interrupts are sampled (translation-block boundaries shift at
@@ -128,9 +123,6 @@ type engine = {
   eng_checkpoint : int;
       (** golden digest interval in retired instructions; [0] disables
           the trace and with it all early exits *)
-  eng_escape : bool;
-      (** heuristic early [Crashed] when pc escapes the golden code
-          range with [mtvec = 0]; requires [eng_checkpoint > 0] *)
   eng_timeout_s : float;
       (** wall-clock budget per mutant, a second hang defense behind the
           fuel budget; a mutant over its deadline is classified like
@@ -141,8 +133,8 @@ type engine = {
 }
 
 val default_engine : engine
-(** [jobs = 1], fork on, checkpoint every 1024 instructions, escape
-    heuristic off, no wall-clock timeout. *)
+(** [jobs = 1], fork on, checkpoint every 1024 instructions, no
+    wall-clock timeout. *)
 
 val rerun_engine : engine
 (** The naive baseline: every fault re-runs from reset with no trace —

@@ -42,6 +42,22 @@ let to_string t =
   | Permanent -> loc ^ ":perm"
   | Transient n -> Printf.sprintf "%s:trans:%d" loc n
 
+(* The ranges the injector can arm.  Register accessors use unchecked
+   array indexing on the hot path, so an out-of-range register must be
+   refused before it reaches a machine. *)
+let validate t =
+  let bad what = Error (what ^ " out of range in " ^ to_string t) in
+  let bit b = if b < 0 || b > 31 then bad "bit" else Ok () in
+  let loc =
+    match t.loc with
+    | Gpr (r, b) | Fpr (r, b) ->
+        if r < 0 || r > 31 then bad "register" else bit b
+    | Code (a, b) | Data (a, b) -> if a < 0 then bad "address" else bit b
+  in
+  match (loc, t.kind) with
+  | Ok (), Transient n when n <= 0 -> bad "transient time"
+  | r, _ -> r
+
 let of_string s =
   let int v = int_of_string_opt v in
   let loc tag a b =
@@ -55,13 +71,21 @@ let of_string s =
         | _ -> None)
     | _ -> None
   in
-  let make l kind =
-    match l with Some l -> Ok { loc = l; kind } | None -> Error ("bad fault: " ^ s)
+  let parsed =
+    match String.split_on_char ':' s with
+    | [ tag; a; b; "perm" ] ->
+        Option.map (fun loc -> { loc; kind = Permanent }) (loc tag a b)
+    | [ tag; a; b; "trans"; n ] -> (
+        match (loc tag a b, int n) with
+        | Some loc, Some n -> Some { loc; kind = Transient n }
+        | _ -> None)
+    | _ -> None
   in
-  match String.split_on_char ':' s with
-  | [ tag; a; b; "perm" ] -> make (loc tag a b) Permanent
-  | [ tag; a; b; "trans"; n ] -> (
-      match int n with
-      | Some n -> make (loc tag a b) (Transient n)
-      | None -> Error ("bad fault: " ^ s))
+  (* [int_of_string] also reads "0x7", "+3", "07" and "1_0": accept
+     only the one spelling [to_string] prints *)
+  match parsed with
+  | Some t when String.equal (to_string t) s -> (
+      match validate t with
+      | Ok () -> Ok t
+      | Error e -> Error ("bad fault: " ^ e))
   | _ -> Error ("bad fault: " ^ s)

@@ -30,5 +30,11 @@ val to_string : t -> string
 (** Stable machine-readable form, e.g. ["gpr:10:24:perm"] or
     ["code:0x80000000:3:trans:43"].  Used in campaign journal records. *)
 
+val validate : t -> (unit, string) result
+(** [Ok ()] for a fault the injector can arm: register 0..31, bit
+    0..31, a non-negative address, and a positive transient time. *)
+
 val of_string : string -> (t, string) result
-(** Inverse of {!to_string}. *)
+(** Inverse of {!to_string}, and fails closed: accepts only the exact
+    spelling {!to_string} prints ([to_string (of_string s) = s]) of a
+    fault that {!validate} accepts. *)

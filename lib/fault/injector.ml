@@ -33,27 +33,13 @@ let flip_fpr st r bit =
   let v = S4e_cpu.Arch_state.get_freg st r in
   S4e_cpu.Arch_state.set_freg st r (Bits.flip_bit bit v)
 
-(* Reject malformed faults up front: register accessors use unchecked
-   array indexing on the hot path, so an out-of-range register from a
-   hand-written fault list must fail loudly here rather than corrupt
-   the runtime.  The campaign engine catches this (and any other
-   per-mutant exception) and classifies the mutant [Errored]. *)
-let validate (f : Fault.t) =
-  let bad what =
-    invalid_arg
-      (Printf.sprintf "Injector.arm: %s out of range in %s" what
-         (Fault.describe f))
-  in
-  (match f.Fault.loc with
-  | Fault.Gpr (r, b) | Fault.Fpr (r, b) ->
-      if r < 0 || r > 31 then bad "register";
-      if b < 0 || b > 31 then bad "bit"
-  | Fault.Code (a, b) | Fault.Data (a, b) ->
-      if a < 0 then bad "address";
-      if b < 0 || b > 31 then bad "bit");
-  match f.Fault.kind with
-  | Fault.Transient n when n <= 0 -> bad "transient time"
-  | _ -> ()
+(* Reject malformed faults up front; the campaign engine catches this
+   (and any other per-mutant exception) and classifies the mutant
+   [Errored]. *)
+let validate f =
+  match Fault.validate f with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Injector.arm: " ^ e)
 
 (* Stuck-at: the bit is held at the flip of its value at arm time. *)
 let hold m file r bit v =

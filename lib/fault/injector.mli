@@ -12,10 +12,11 @@
 type armed
 
 val arm : S4e_cpu.Machine.t -> Fault.t -> armed
-(** @raise Invalid_argument on a malformed fault (register or bit out
-    of range, negative address, non-positive transient time) — the
-    register paths use unchecked indexing, so this is the only line of
-    defense for hand-written fault lists. *)
+(** @raise Invalid_argument on a fault {!Fault.validate} rejects
+    (register or bit out of range, negative address, non-positive
+    transient time).  The register paths use unchecked indexing, and
+    {!Fault.of_string} already refuses such faults, so this guards
+    fault lists built in code. *)
 
 val disarm : S4e_cpu.Machine.t -> armed -> unit
 (** Removes the transient's hook or clears the stuck bit; memory flips

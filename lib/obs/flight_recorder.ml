@@ -1,11 +1,10 @@
-type kind = Retire | Trap | Irq | Dev | Watch
+type kind = Retire | Trap | Irq | Dev
 
 let kind_name = function
   | Retire -> "retire"
   | Trap -> "trap"
   | Irq -> "irq"
   | Dev -> "dev"
-  | Watch -> "watch"
 
 type record = {
   mutable r_seq : int;
@@ -80,18 +79,6 @@ let event t kind ~pc ~info =
   r.r_value <- 0;
   r.r_store <- false
 
-let watch_hit t ~pc ~op ~addr ~width ~value ~store =
-  let r = next_slot t in
-  r.r_kind <- Watch;
-  r.r_pc <- pc;
-  r.r_op <- op;
-  r.r_rd <- -1;
-  r.r_rd_val <- 0;
-  r.r_addr <- addr;
-  r.r_width <- width;
-  r.r_value <- value;
-  r.r_store <- store
-
 type mark = { m_seq : int; m_lo : int }
 
 let mark t = { m_seq = t.seq; m_lo = t.lo }
@@ -119,7 +106,7 @@ let records t =
 let pp_record fmt r =
   Format.fprintf fmt "%8d %-6s pc=0x%08x" r.r_seq (kind_name r.r_kind) r.r_pc;
   (match r.r_kind with
-  | Retire | Watch -> Format.fprintf fmt " op=0x%08x" r.r_op
+  | Retire -> Format.fprintf fmt " op=0x%08x" r.r_op
   | Trap | Irq | Dev -> Format.fprintf fmt " info=0x%x" r.r_op);
   if r.r_rd >= 32 then Format.fprintf fmt " f%d=0x%08x" (r.r_rd - 32) r.r_rd_val
   else if r.r_rd >= 0 then Format.fprintf fmt " x%d=0x%08x" r.r_rd r.r_rd_val;

@@ -3,8 +3,8 @@
     The last [capacity] architectural events of a run — retired
     instructions with their pc, opcode word, register writeback, and
     effective address / width / value for memory accesses, interleaved
-    with trap, interrupt, device-event, and watchpoint markers.  The
-    emulator feeds it from the dispatch loop behind the same
+    with trap, interrupt, and device-event markers.  The emulator feeds
+    it from the dispatch loop behind the same
     one-pointer-test-when-unattached discipline as {!Profile}:
     recording only {e reads} architectural state, so an armed recorder
     never perturbs execution (state digests are identical armed vs.
@@ -28,7 +28,6 @@ type kind =
   | Trap  (** exception entered; [info] = mcause *)
   | Irq  (** interrupt taken; [info] = mcause (with the high bit) *)
   | Dev  (** device events fired at this boundary; [info] = IRQ mask *)
-  | Watch  (** watchpoint hit; address fields describe the access *)
 
 val kind_name : kind -> string
 
@@ -43,8 +42,7 @@ type record = {
   mutable r_kind : kind;
   mutable r_pc : int;
   mutable r_op : int;
-      (** opcode word for [Retire]/[Watch]; the marker's [info]
-          otherwise *)
+      (** opcode word for [Retire]; the marker's [info] otherwise *)
   mutable r_rd : int;
   mutable r_rd_val : int;
   mutable r_addr : int;
@@ -81,11 +79,6 @@ val retire :
 val event : t -> kind -> pc:int -> info:int -> unit
 (** Appends a marker record ([Trap] / [Irq] / [Dev]) with no register
     or memory fields. *)
-
-val watch_hit :
-  t -> pc:int -> op:int -> addr:int -> width:int -> value:int ->
-  store:bool -> unit
-(** Appends a [Watch] record describing the probed access. *)
 
 (** {1 Snapshot / restore}
 

@@ -959,7 +959,7 @@ v:
   Alcotest.(check int) "no difference without hazards" 0
     (cycles_nh dependent - cycles_nh independent)
 
-let test_tracer () =
+let test_recorder_window () =
   let p =
     S4e_asm.Assembler.assemble_exn {|
 _start:
@@ -976,28 +976,36 @@ f:
   ret
 |}
   in
-  let m = Machine.create () in
-  let tracer = S4e_cpu.Tracer.attach m.Machine.hooks ~depth:4 in
-  S4e_asm.Program.load_machine p m;
-  (match Machine.run m ~fuel:1_000 with
-  | Machine.Exited 0 -> ()
-  | stop -> Alcotest.failf "run failed: %a" Machine.pp_stop_reason stop);
-  let s = S4e_cpu.Tracer.stats tracer in
-  Alcotest.(check int) "instructions counted" (Machine.instret m)
-    s.S4e_cpu.Tracer.st_instructions;
-  Alcotest.(check int) "three branch executions" 3 s.S4e_cpu.Tracer.st_branches;
-  Alcotest.(check int) "two taken" 2 s.S4e_cpu.Tracer.st_taken;
-  Alcotest.(check int) "one call" 1 s.S4e_cpu.Tracer.st_calls;
-  Alcotest.(check int) "one return" 1 s.S4e_cpu.Tracer.st_returns;
-  Alcotest.(check int) "tail bounded" 4
-    (List.length (S4e_cpu.Tracer.tail tracer));
-  (* last traced instruction is the store (ebreak never runs) *)
-  (match List.rev (S4e_cpu.Tracer.tail tracer) with
+  let module Fr = S4e_obs.Flight_recorder in
+  (* the run's recorded window, through a ring of [capacity] records *)
+  let recorded capacity =
+    let m = Machine.create () in
+    let r = Fr.create ~capacity () in
+    Machine.set_recorder m (Some r);
+    S4e_asm.Program.load_machine p m;
+    (match Machine.run m ~fuel:1_000 with
+    | Machine.Exited 0 -> ()
+    | stop -> Alcotest.failf "run failed: %a" Machine.pp_stop_reason stop);
+    (m, Fr.records r)
+  in
+  let m, window = recorded 256 in
+  Alcotest.(check int) "instructions recorded" (Machine.instret m)
+    (List.length (List.filter (fun rc -> rc.Fr.r_kind = Fr.Retire) window));
+  let f = S4e_asm.Disasm.flow window in
+  Alcotest.(check int) "three branch executions" 3 f.S4e_asm.Disasm.branches;
+  Alcotest.(check int) "two taken" 2 f.S4e_asm.Disasm.taken;
+  Alcotest.(check int) "one call" 1 f.S4e_asm.Disasm.calls;
+  Alcotest.(check int) "one return" 1 f.S4e_asm.Disasm.returns;
+  let _, tail = recorded 4 in
+  Alcotest.(check int) "tail bounded" 4 (List.length tail);
+  (* last recorded instruction is the store (ebreak never runs) *)
+  match List.rev tail with
   | last :: _ ->
       Alcotest.(check string) "last is the exit store" "sw"
-        (S4e_isa.Instr.mnemonic last.S4e_cpu.Tracer.e_instr)
-  | [] -> Alcotest.fail "empty tail");
-  S4e_cpu.Tracer.detach m.Machine.hooks tracer
+        (match Decode.decode last.Fr.r_op with
+        | Some i -> Instr.mnemonic i
+        | None -> "?")
+  | [] -> Alcotest.fail "empty tail"
 
 let test_cache_model_unit () =
   let module C = S4e_cpu.Cache_model in
@@ -1279,7 +1287,7 @@ let () =
           Alcotest.test_case "tb cache stats" `Quick test_tb_cache_stats;
           Alcotest.test_case "load-use hazard" `Quick
             test_load_use_hazard_cycles;
-          Alcotest.test_case "tracer" `Quick test_tracer;
+          Alcotest.test_case "recorder window" `Quick test_recorder_window;
           Alcotest.test_case "atomics" `Quick test_atomics;
           Alcotest.test_case "amo misaligned" `Quick test_amo_misaligned_traps;
           Alcotest.test_case "sc wrong address" `Quick

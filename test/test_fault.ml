@@ -708,9 +708,87 @@ let fault_gen =
         map2 (fun a b -> Fault.Data (a, b)) (int_bound 0xffff_ffff) bit ]
   in
   let kind =
-    oneof [ return Fault.Permanent; map (fun n -> Fault.Transient n) nat ]
+    oneof
+      [ return Fault.Permanent; map (fun n -> Fault.Transient (1 + n)) nat ]
   in
   map2 (fun loc kind -> { Fault.loc; kind }) loc kind
+
+(* Faults in and around the armable ranges: registers and bits from -2
+   to 40, addresses down to -2, transient times from -2 up. *)
+let any_fault_gen =
+  let open QCheck.Gen in
+  let small = int_range (-2) 40 in
+  let addr = oneof [ int_range (-2) 0xffff_ffff; int ] in
+  let loc =
+    oneof
+      [ map2 (fun r b -> Fault.Gpr (r, b)) small small;
+        map2 (fun r b -> Fault.Fpr (r, b)) small small;
+        map2 (fun a b -> Fault.Code (a, b)) addr small;
+        map2 (fun a b -> Fault.Data (a, b)) addr small ]
+  in
+  let kind =
+    oneof
+      [ return Fault.Permanent;
+        map (fun n -> Fault.Transient n) (int_range (-2) 1_000_000) ]
+  in
+  map2 (fun loc kind -> { Fault.loc; kind }) loc kind
+
+let fault_print_parse_identity =
+  prop ~count:1000 "fault print then parse = identity"
+    (QCheck.make ~print:Fault.to_string any_fault_gen)
+    (fun f ->
+      match Fault.of_string (Fault.to_string f) with
+      | Ok g -> g = f && Fault.validate f = Ok ()
+      | Error _ -> Fault.validate f <> Ok ())
+
+(* Edited spellings of valid faults: whatever [of_string] accepts, it
+   prints back byte for byte. *)
+let fault_parse_print_identity =
+  let gen =
+    let open QCheck.Gen in
+    let edit =
+      oneofl [ 'x'; '0'; '7'; '+'; '-'; '_'; ':'; 'a'; ' '; 'f'; 'e' ]
+    in
+    map3
+      (fun f (pos, c) op ->
+        let s = Fault.to_string f in
+        let n = String.length s in
+        let i = pos mod (n + 1) in
+        let j = min n (i + 1) in
+        let c = String.make 1 c in
+        let sub lo hi = String.sub s lo (hi - lo) in
+        match op with
+        | 0 -> sub 0 i ^ c ^ sub i n (* insert *)
+        | 1 -> sub 0 i ^ sub j n (* delete *)
+        | _ -> sub 0 i ^ c ^ sub j n (* replace *))
+      fault_gen (pair nat edit) (int_bound 2)
+  in
+  prop ~count:2000 "fault parse then print = identity"
+    (QCheck.make ~print:(fun s -> s) gen)
+    (fun s ->
+      match Fault.of_string s with
+      | Ok f -> Fault.to_string f = s && Fault.validate f = Ok ()
+      | Error _ -> true)
+
+(* Spellings [int_of_string] reads but [to_string] never prints, and
+   faults the injector would refuse to arm. *)
+let bad_fault_strings =
+  [ "gpr:0x7:+3:perm"; "gpr:99:77:perm"; "gpr:07:3:perm"; "gpr:7:3_0:perm";
+    "gpr:-1:3:perm"; "fpr:3:32:perm"; "code:0X80000000:3:perm";
+    "code:0x080000000:3:perm"; "code:2147483648:3:perm";
+    "data:0x80000000:3:trans:0"; "data:0x80000000:3:trans:+5";
+    "gpr:7:3:perm "; "gpr:7:3:trans:5:6" ]
+
+let test_fault_of_string_fails_closed () =
+  List.iter
+    (fun s ->
+      match Fault.of_string s with
+      | Ok f -> Alcotest.failf "%S read as %s" s (Fault.to_string f)
+      | Error _ -> ())
+    bad_fault_strings;
+  Alcotest.(check bool) "the canonical spelling still reads" true
+    (Fault.of_string "gpr:7:3:perm"
+     = Ok { Fault.loc = Fault.Gpr (7, 3); kind = Fault.Permanent })
 
 let outcome_gen =
   QCheck.Gen.(
@@ -792,6 +870,16 @@ let test_journal_read_fails_closed () =
     (fun shard -> rejects ("shard " ^ shard) [ raw_header ~total:2 shard ])
     [ "2/2"; "-1/2"; "1/0"; "0/-1"; "1/2/3"; "01/2"; "0x1/2"; " 0/1"; "0/1_0" ];
   rejects "negative total" [ raw_header ~total:(-1) "0/1" ];
+  List.iter
+    (fun f ->
+      rejects ("fault " ^ f)
+        [ header_line 2;
+          S4e_obs.Json.(
+            to_string
+              (Obj
+                 [ ("i", Int 0); ("fault", String f);
+                   ("outcome", String "masked") ])) ])
+    bad_fault_strings;
   (* the checked journals still read *)
   with_tmp (fun path ->
       write_journal path
@@ -1020,6 +1108,10 @@ let () =
       ( "journal",
         [ Alcotest.test_case "line bytes" `Quick test_journal_line_bytes;
           journal_line_roundtrip;
+          fault_print_parse_identity;
+          fault_parse_print_identity;
+          Alcotest.test_case "fault spelling fails closed" `Quick
+            test_fault_of_string_fails_closed;
           Alcotest.test_case "read fails closed" `Quick
             test_journal_read_fails_closed;
           Alcotest.test_case "merge checks records" `Quick

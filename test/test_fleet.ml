@@ -443,6 +443,14 @@ let test_server_checks_whole_batches () =
       ("garbage around the fields",
        [ h; mine; {|xx"i":2,"fault":"gpr:2:0:perm","outcome":"masked"yy|} ]);
       ("unknown fault", [ h; {|{"i":0,"fault":"G0.0P","outcome":"masked"}|} ]);
+      ("a fault in another spelling",
+       [ h; mine;
+         Printf.sprintf {|{"i":%d,"fault":"gpr:0x7:+3:perm","outcome":"sdc"}|}
+           shard ]);
+      ("a fault the injector cannot arm",
+       [ h; mine;
+         Printf.sprintf {|{"i":%d,"fault":"gpr:99:77:perm","outcome":"sdc"}|}
+           shard ]);
       ("header for another shard",
        [ header_line ~seed:1 ~total:4 ~shard:(1 - shard, 2) ~program:"p" ]);
       ("header for another shard count",

@@ -3,8 +3,9 @@
    The load-bearing properties: telemetry is observationally inert
    (digest-identical runs with and without a profiler attached, on the
    lowered engine), its numbers agree with the independent witnesses we
-   already trust (Tracer.stats, campaign summaries), and the exported
-   artifacts (metric snapshots, trace-event JSON) are well-formed. *)
+   already trust (a per-instruction hook count, campaign summaries), and
+   the exported artifacts (metric snapshots, trace-event JSON) are
+   well-formed. *)
 
 module Machine = S4e_cpu.Machine
 module Metrics = S4e_obs.Metrics
@@ -207,11 +208,11 @@ let prop_profiler_totals =
       && Profile.total_cycles prof = Machine.cycles m
       && Profile.total_execs prof > 0)
 
-(* metric gauges and the (hook-based, generic-engine) tracer agree on
-   what ran: same program, deterministic execution, independent
-   witnesses *)
-let prop_metrics_match_tracer =
-  prop ~count:10 "machine gauges match Tracer.stats" seed_gen (fun seed ->
+(* metric gauges and a (hook-based, generic-engine) instruction count
+   agree on what ran: same program, deterministic execution,
+   independent witnesses *)
+let prop_metrics_match_hook_count =
+  prop ~count:10 "machine gauges match a hook count" seed_gen (fun seed ->
       let p =
         Torture.generate { Torture.default_config with Torture.seed }
       in
@@ -223,17 +224,18 @@ let prop_metrics_match_tracer =
       Machine.register_metrics m reg;
       S4e_asm.Program.load_machine p m;
       let (_ : Machine.stop_reason) = Machine.run m ~fuel:200_000 in
-      (* traced run: hooks force the generic path — an independent
+      (* counted run: the hook forces the generic path — an independent
          per-instruction witness of the same deterministic program *)
       let mt = Machine.create () in
-      let tracer = S4e_cpu.Tracer.attach mt.Machine.hooks ~depth:4 in
+      let count = ref 0 in
+      let (_ : S4e_cpu.Hooks.id) =
+        S4e_cpu.Hooks.on_insn mt.Machine.hooks (fun _ _ -> incr count)
+      in
       S4e_asm.Program.load_machine p mt;
       let (_ : Machine.stop_reason) = Machine.run mt ~fuel:200_000 in
-      let ts = S4e_cpu.Tracer.stats tracer in
       let snap = Metrics.snapshot reg in
-      List.assoc "machine.instret" snap
-        = Metrics.Int ts.S4e_cpu.Tracer.st_instructions
-      && Profile.total_instrs prof = ts.S4e_cpu.Tracer.st_instructions)
+      List.assoc "machine.instret" snap = Metrics.Int !count
+      && Profile.total_instrs prof = !count)
 
 (* ---------------- flight recorder ---------------- *)
 
@@ -355,6 +357,46 @@ let prop_recorder_engines_agree =
               QCheck.Test.fail_reportf "rvc=%b rig=%b: %s differs" compress
                 rig name)
         [ (false, false); (true, false); (false, true); (true, true) ])
+
+(* The control-flow counts [s4e run --record] prints, read off a
+   recorded window, equal an independent witness: a per-instruction
+   hook on the generic engine that resolves each branch by the next
+   pc it sees. *)
+let prop_recorder_flow =
+  prop ~count:20 "window flow counts = hook witness" seed_gen (fun seed ->
+      List.for_all
+        (fun compress ->
+          let cfg = { Torture.default_config with Torture.seed; compress } in
+          let fuel = Torture.fuel_bound cfg in
+          let p = Torture.generate cfg in
+          let _, _, window = recording ~fuel Machine.default_config p in
+          let branches = ref 0 and taken = ref 0 in
+          let calls = ref 0 and returns = ref 0 in
+          let pending = ref (-1) in
+          let m = Machine.create () in
+          let (_ : S4e_cpu.Hooks.id) =
+            S4e_cpu.Hooks.on_insn m.Machine.hooks (fun pc instr ->
+                if pc = !pending then incr taken;
+                pending := -1;
+                match instr with
+                | S4e_isa.Instr.Branch (_, _, _, off) ->
+                    incr branches;
+                    pending :=
+                      S4e_bits.Bits.add pc (S4e_bits.Bits.of_signed off)
+                | S4e_isa.Instr.Jalr (0, rs1, 0) when rs1 = S4e_isa.Reg.ra ->
+                    incr returns
+                | S4e_isa.Instr.Jal (rd, _) | S4e_isa.Instr.Jalr (rd, _, _)
+                  when rd <> 0 ->
+                    incr calls
+                | _ -> ())
+          in
+          S4e_asm.Program.load_machine p m;
+          let (_ : Machine.stop_reason) = Machine.run m ~fuel in
+          S4e_asm.Disasm.flow window
+          = { S4e_asm.Disasm.branches = !branches; taken = !taken;
+              calls = !calls; returns = !returns }
+          && !branches > 0)
+        [ false; true ])
 
 let test_recorder_engines_agree_smp () =
   List.iter
@@ -659,12 +701,12 @@ let () =
         [ prop_profiler_inert; prop_profiler_totals;
           Alcotest.test_case "sym label empty names" `Quick
             test_sym_label_empty_names;
-          prop_metrics_match_tracer;
+          prop_metrics_match_hook_count;
           Alcotest.test_case "hot loop ranked first" `Quick
             test_hot_loop_ranked_first ] );
       ( "flight-recorder",
         [ prop_recorder_inert; prop_recorder_arm_disarm_inert;
-          prop_recorder_engines_agree;
+          prop_recorder_engines_agree; prop_recorder_flow;
           Alcotest.test_case "engines agree (SMP)" `Quick
             test_recorder_engines_agree_smp;
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;

@@ -45,9 +45,23 @@ again:
   ebreak
 |}
 
+(* 200,006 instructions: long enough for the loop to become a
+   superblock trace. *)
+let hot_src = {|
+_start:
+  li   a0, 0
+  li   a1, 100000
+again:
+  addi a0, a0, 1
+  bne  a0, a1, again
+  li   t0, 0x00100000
+  sw   zero, 0(t0)
+  ebreak
+|}
+
 (* A nested loop doing enough work (~45k instructions) that a rerun
-   campaign over a few hundred mutants takes seconds, leaving a window
-   to deliver SIGINT mid-run for the kill-and-resume check. *)
+   campaign over a few hundred mutants is still running when the
+   kill-and-resume checks signal it. *)
 let slow_src = {|
 _start:
   li   s0, 0
@@ -118,20 +132,29 @@ let () =
   let qta = Filename.concat dir "hello.qta" in
   let bad = Filename.concat dir "bad.s" in
   let slow = Filename.concat dir "slow.s" in
+  let hot = Filename.concat dir "hot.s" in
   write_file hello hello_src;
   write_file loop loop_src;
   write_file bad "_start:\n  frobnicate a0\n";
   write_file slow slow_src;
+  write_file hot hot_src;
   Printf.printf "cli tests (%s):\n" s4e;
 
   check "run prints the UART output"
     (Printf.sprintf "%s run %s" s4e hello)
     ~expect_code:0
     ~expect_substrings:[ "cli-ok"; "exited with code 0" ];
-  check "run --trace prints a tail"
-    (Printf.sprintf "%s run %s --trace 3" s4e hello)
+  check "run --record prints the tail and its counts on a clean exit"
+    (Printf.sprintf "%s run %s --record" s4e loop)
     ~expect_code:0
-    ~expect_substrings:[ "trace tail:"; "branches:" ];
+    ~expect_substrings:
+      [ "exited with code 8"; "flight recorder tail (last 21 of 21 records):";
+        "retire pc=0x8000000c op=0xfeb54ee3  blt a0, a1, -4";
+        "branches: 8 (7 taken), calls: 0, returns: 0" ];
+  check "run --trace is not an option"
+    (Printf.sprintf "%s run %s --trace 3" s4e hello)
+    ~expect_code:124
+    ~expect_substrings:[ "option '--trace'" ];
   check "assembly errors carry line numbers"
     (Printf.sprintf "%s run %s" s4e bad)
     ~expect_code:1
@@ -201,6 +224,18 @@ let () =
     ~expect_code:0
     ~expect_substrings:
       [ "\"machine.instret\""; "\"machine.tb.blocks\"" ];
+  (* the cache model's hooks run on a machine of their own, so the
+     engine counters describe the unhooked run either way *)
+  check "run --trace-stats is the same with --cache-stats"
+    (Printf.sprintf
+       "{ a=$(%s run %s --trace-stats | grep -A2 superblocks:); b=$(%s run \
+        %s --trace-stats --cache-stats | grep -A2 superblocks:); echo \
+        \"$b\"; [ \"$a\" = \"$b\" ] && echo TRACE-STATS-MATCH; }"
+       s4e hot s4e hot)
+    ~expect_code:0
+    ~expect_substrings:
+      [ "1 promotions"; "199870 instructions inside traces";
+        "TRACE-STATS-MATCH" ];
   check "run --cache-stats labels chain hits"
     (Printf.sprintf "%s run %s --cache-stats" s4e loop)
     ~expect_code:0
@@ -325,39 +360,44 @@ let () =
           {|{"i":1,"fault":"gpr:1:0:perm","outcome":"masked"}|} ]);
        ("text around the fields",
         [ {|{"i":0,"fault":"gpr:1:0:perm","outcome":"masked"}|};
-          {|xx"i":1,"fault":"gpr:1:0:perm","outcome":"masked"yy|} ]) ]);
-  (let j = Filename.concat dir "killed.jsonl" in
-   let part = Filename.concat dir "killed.out" in
-   let args =
-     Printf.sprintf "fault %s -n 400 --fuel 200000 --rerun -j 2" slow
-   in
-   (* Interrupt a campaign mid-run, then resume it from the journal and
-      compare the final summary against an uninterrupted reference. *)
-   check "SIGINT journals progress and --resume completes it"
-     (Printf.sprintf
-        "{ ref=$(%s %s | head -1); %s %s --journal %s > %s 2>&1 & pid=$!; \
-         sleep 0.7; kill -INT $pid 2>/dev/null; wait $pid; echo exit=$?; \
-         grep interrupted %s; res=$(%s %s --resume %s | head -1); [ \
-         \"$ref\" = \"$res\" ] && echo SUMMARIES-MATCH; }"
-        s4e args s4e args j part part s4e args j)
-     ~expect_code:0
-     ~expect_substrings:[ "exit=130"; "interrupted:"; "SUMMARIES-MATCH" ]);
-  (let j = Filename.concat dir "termed.jsonl" in
-   let part = Filename.concat dir "termed.out" in
-   let args =
-     Printf.sprintf "fault %s -n 400 --fuel 200000 --rerun -j 2" slow
-   in
-   (* Same shape with SIGTERM: supervisors (and the fleet) stop
-      campaigns with TERM, which must journal and exit 143. *)
-   check "SIGTERM journals progress (exit 143) and --resume completes it"
-     (Printf.sprintf
-        "{ ref=$(%s %s | head -1); %s %s --journal %s > %s 2>&1 & pid=$!; \
-         sleep 0.7; kill -TERM $pid 2>/dev/null; wait $pid; echo exit=$?; \
-         grep interrupted %s; res=$(%s %s --resume %s | head -1); [ \
-         \"$ref\" = \"$res\" ] && echo SUMMARIES-MATCH; }"
-        s4e args s4e args j part part s4e args j)
-     ~expect_code:0
-     ~expect_substrings:[ "exit=143"; "interrupted:"; "SUMMARIES-MATCH" ]);
+          {|xx"i":1,"fault":"gpr:1:0:perm","outcome":"masked"yy|} ]);
+       ("a fault in another spelling",
+        [ {|{"i":0,"fault":"gpr:0x7:+3:perm","outcome":"masked"}|};
+          {|{"i":1,"fault":"gpr:1:0:perm","outcome":"masked"}|} ]);
+       ("a fault the injector cannot arm",
+        [ {|{"i":0,"fault":"gpr:99:77:perm","outcome":"masked"}|};
+          {|{"i":1,"fault":"gpr:1:0:perm","outcome":"masked"}|} ]) ]);
+  (* Interrupt a campaign mid-run, then resume it from the journal and
+     compare the final summary against an uninterrupted reference.  The
+     signal goes out as soon as the journal header is on disk: the
+     handler is installed before the journal is created, and the header
+     is written before the first mutant runs, so a 10 ms poll catches
+     the campaign near its start (all 400 mutants take about 0.25 s
+     when this suite runs alone).  SIGTERM is how supervisors (and the
+     fleet) stop campaigns. *)
+  let signal_check ~signal ~code name =
+    let j = Filename.concat dir (name ^ ".jsonl") in
+    let part = Filename.concat dir (name ^ ".out") in
+    let args =
+      Printf.sprintf "fault %s -n 400 --fuel 200000 --rerun -j 2" slow
+    in
+    check
+      (Printf.sprintf
+         "SIG%s journals progress (exit %d) and --resume completes it" signal
+         code)
+      (Printf.sprintf
+         "{ ref=$(%s %s | head -1); %s %s --journal %s > %s 2>&1 & pid=$!; \
+          n=0; while [ ! -s %s ] && [ $n -lt 3000 ]; do sleep 0.01; \
+          n=$((n+1)); done; kill -%s $pid 2>/dev/null; wait $pid; echo \
+          exit=$?; grep interrupted %s; res=$(%s %s --resume %s | head -1); \
+          [ \"$ref\" = \"$res\" ] && echo SUMMARIES-MATCH; }"
+         s4e args s4e args j part j signal part s4e args j)
+      ~expect_code:0
+      ~expect_substrings:
+        [ Printf.sprintf "exit=%d" code; "interrupted:"; "SUMMARIES-MATCH" ]
+  in
+  signal_check ~signal:"INT" ~code:130 "killed";
+  signal_check ~signal:"TERM" ~code:143 "termed";
   (let sock = Filename.concat dir "fleet.sock" in
    let jd = Filename.concat dir "fleet-journals" in
    let sub = Filename.concat dir "submit.out" in
