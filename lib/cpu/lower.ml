@@ -21,7 +21,8 @@ type stuck = {
    i.e. into device space) call it first so batched ticking is
    indistinguishable from the generic per-instruction ticking.
    [lx_stuck] is read at translate time only: whoever changes it must
-   flush the translations compiled under the old setting. *)
+   kill the translations of instructions that write the old or the new
+   stuck register ([writes_stuck]), the only ones it changes. *)
 type ctx = {
   lx_state : Arch_state.t;
   lx_bus : Bus.t;

@@ -53,12 +53,17 @@ type ctx = {
       (** bus addresses below this may reach a device (and hence observe
           or mutate time): flush batched cycles first *)
   mutable lx_stuck : stuck option;
-      (** read at translate time: changing it requires flushing the
-          translations lowered against this context *)
+      (** read at translate time: changing it requires killing the
+          translations lowered against this context that write the old
+          or the new stuck register ({!writes_stuck}) *)
 }
 
 val force : Arch_state.t -> stuck -> unit
 (** Sets the stuck bit to its held value (no-op for x0). *)
+
+val writes_stuck : stuck -> S4e_isa.Instr.t -> bool
+(** The instruction writes the stuck register (never for x0): the only
+    instructions whose lowering depends on [lx_stuck]. *)
 
 val load_fn : S4e_mem.Bus.t -> S4e_isa.Instr.op_load -> word -> word
 (** Width/sign-dispatched load with the architectural misalignment

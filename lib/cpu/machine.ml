@@ -595,9 +595,26 @@ let observe_devices ?metrics ?trace t =
 let set_uart_sink t sink = Soc.Uart.set_sink t.uart sink
 
 (* A stuck bit lives on the hart's lowering context, where [Lower]
-   compiles it into the instructions that write the register; both
-   changes flush the hart's translations so no block lowered under the
-   other setting survives. *)
+   compiles it into the instructions that write the register.  Only
+   the blocks that write the old or the new stuck register lower
+   differently under the two settings, so exactly those die (and with
+   them any trace they belong to); the superblock engine then refuses
+   to promote a block that writes the new one. *)
+let restick h s =
+  let writes = function
+    | Some sk -> fun instr -> Lower.writes_stuck sk instr
+    | None -> fun _ -> false
+  in
+  let w_old = writes h.hx_lower.Lower.lx_stuck and w_new = writes s in
+  h.hx_lower.Lower.lx_stuck <- s;
+  Tb_cache.kill_if h.hx_tb (fun e ->
+      Array.exists (fun (_, _, i) -> w_old i || w_new i) e.Tb_cache.instrs);
+  Option.iter
+    (fun sb ->
+      Superblock.set_stuck_gpr sb
+        (match s with Some { sk_file = Gpr; sk_reg; _ } -> sk_reg | _ -> 0))
+    h.hx_sb
+
 let set_stuck t s =
   match s with
   | Some sk ->
@@ -605,16 +622,11 @@ let set_stuck t s =
       if sk.sk_reg < 0 || sk.sk_reg > 31 || sk.sk_bit < 0 || sk.sk_bit > 31
       then invalid_arg "Machine.set_stuck: register or bit out of range";
       let h = t.harts.(t.cur) in
-      h.hx_lower.Lower.lx_stuck <- s;
-      Lower.force h.hx_state sk;
-      Tb_cache.flush h.hx_tb
+      restick h s;
+      Lower.force h.hx_state sk
   | None ->
       Array.iter
-        (fun h ->
-          if h.hx_lower.Lower.lx_stuck <> None then begin
-            h.hx_lower.Lower.lx_stuck <- None;
-            Tb_cache.flush h.hx_tb
-          end)
+        (fun h -> if h.hx_lower.Lower.lx_stuck <> None then restick h None)
         t.harts
 
 (* [reset] and [restore] rewrite the register files behind the
@@ -1027,12 +1039,12 @@ let run_slice t h ~fuel =
   (* Superblock traces ride on the unprofiled, unrecorded lowered
      engine only: a profiler needs per-block attribution, a recorder
      per-instruction capture, and hooks (lowered_ok) per-instruction
-     visibility.  A stuck register bit also keeps them off: fused
-     traces pass register values through OCaml locals, which would
-     read past the force.  All fall back transparently. *)
+     visibility.  All fall back transparently.  (A stuck register bit
+     keeps only the blocks that write it out of traces; see
+     [restick].) *)
   let sb =
-    match (h.hx_sb, prof, rcd, lower_ctx.Lower.lx_stuck) with
-    | Some s, None, None, None when lowered_ok -> Some s
+    match (h.hx_sb, prof, rcd) with
+    | Some s, None, None when lowered_ok -> Some s
     | _ -> None
   in
   (* Block execution for the non-superblock paths: the lowered engine
@@ -1304,7 +1316,18 @@ let restore t s =
     t.harts;
   t.cur <- s.snap_cur;
   t.rr <- s.snap_rr;
-  S4e_mem.Sparse_mem.restore (Bus.ram t.bus) s.snap_mem;
+  (* A translation lives as long as the bytes it was decoded from: the
+     restore compares the pages that hold some hart's cached code and
+     kills, on every hart, just the blocks over bytes it changes, so a
+     campaign fork starts warm.  The bus TLB is flushed by the change
+     hook that [Bus.create] installed. *)
+  S4e_mem.Sparse_mem.restore (Bus.ram t.bus) s.snap_mem
+    ~watch:(fun base ->
+      Array.exists
+        (fun h -> Tb_cache.covers h.hx_tb base S4e_mem.Sparse_mem.page_size)
+        t.harts)
+    ~changed:(fun addr len ->
+      Array.iter (fun h -> Tb_cache.notify_range h.hx_tb addr len) t.harts);
   Soc.Uart.restore t.uart s.snap_uart;
   (* the wheel holds closures, which a snapshot cannot capture: clear
      it, then let each client re-arm from its restored register state
@@ -1323,10 +1346,6 @@ let restore t s =
   t.seg_idx := 0;
   t.seg_base := 0;
   t.exit_dirty := Soc.Syscon.exit_code t.syscon <> None;
-  (* Restored memory may hold different code than what was translated.
-     The bus TLB is already flushed by this point: [Sparse_mem.restore]
-     fires the change hook that [Bus.create] installed. *)
-  Array.iter (fun h -> Tb_cache.flush h.hx_tb) t.harts;
   reforce_stuck t
 
 let state_digest ?(include_time = true) ?(include_instret = true) t =

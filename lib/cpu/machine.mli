@@ -19,8 +19,9 @@
       arrays ([Lower]) with block chaining, batched cycle/CLINT ticking,
       and hook dispatch specialized away.  Selected per block while no
       hooks are installed.  Hot chained paths are further promoted to
-      superblock traces ({!Superblock}) unless a profiler, a recorder
-      or a stuck register bit ({!set_stuck}) is attached.
+      superblock traces ({!Superblock}) unless a profiler or a recorder
+      is attached; a stuck register bit ({!set_stuck}) keeps only the
+      blocks that write the register out of traces.
     - {b generic TB}: the decoded-array interpreter; used whenever hooks
       are present or [lower_blocks] is off.
     - {b single-step} ([use_tb_cache:false]): decode-dispatch per
@@ -252,17 +253,22 @@ val set_uart_sink : t -> (string -> unit) option -> unit
 val set_stuck : t -> stuck option -> unit
 (** [Some s] holds a bit of the current hart's register file: it forces
     the bit at once, records [s] on the hart's lowering context and
-    flushes the hart's translations.  From then on every instruction
-    that writes the register re-forces the bit straight after its write
-    (compiled into the lowered µop; the generic interpreter re-forces
-    after every instruction), so every read — and the flight recorder's
-    writeback record — sees the held value.  {!reset} and {!restore}
-    force it again after rewriting the registers.  Superblock traces
-    are neither promoted nor entered on a hart with a stuck bit.  A
-    stuck bit in x0 is recorded but never forced.
+    kills the hart's blocks that write the register — and those that
+    write a register stuck before, which [s] replaces.  Every other
+    translation, chain link and superblock trace stays.  From then on
+    every instruction that writes the register re-forces the bit
+    straight after its write (compiled into the lowered µop; the
+    generic interpreter re-forces after every instruction), so every
+    read — and the flight recorder's writeback record — sees the held
+    value.  {!reset} and {!restore} force it again after rewriting the
+    registers.  Superblock traces stay on: a block that writes the
+    stuck GPR is never promoted into one, since a trace forwards
+    results through locals that would read past the force.  A stuck bit
+    in x0 is recorded but never forced.
 
-    [None] clears the setting on every hart that has one and flushes
-    their translations.  Only legal between [run] calls.
+    [None] clears the setting on every hart that has one and kills the
+    blocks that write the register that was stuck.  Only legal between
+    [run] calls.
 
     @raise Invalid_argument when the register or bit is outside 0..31. *)
 
@@ -296,7 +302,8 @@ val uart_output : t -> string
 
 val load_word : t -> word -> word -> unit
 (** [load_word t addr w] pokes one word directly into RAM (bypassing
-    devices and hooks) and invalidates affected translation blocks. *)
+    devices and hooks) and invalidates, on every hart, the translation
+    blocks over it. *)
 
 val load_string : t -> word -> string -> unit
 
@@ -306,8 +313,9 @@ val load_string : t -> word -> string -> unit
     architectural state, RAM (page copies), UART/CLINT/GPIO/syscon
     device state, and the microarchitectural hazard window.  Hooks and
     the TB cache are deliberately excluded: hooks belong to the
-    instrumentation layer, and the TB cache is flushed on restore
-    because restored memory may hold different code.
+    instrumentation layer, and a translation only depends on the bytes
+    it was decoded from, so {!restore} keeps every translation whose
+    bytes it leaves unchanged.
 
     The fault campaign uses this to fork faulty runs off a golden
     prefix instead of re-executing every mutant from reset. *)
@@ -319,11 +327,23 @@ val snapshot : t -> snapshot
     the machine and can be restored any number of times. *)
 
 val restore : t -> snapshot -> unit
-(** Rewinds the machine to the captured instant and flushes the TB
-    cache.  [run] can then resume as if execution had never left the
-    snapshot point.  Stuck bits ({!set_stuck}) are not part of a
-    snapshot: they stay set and are forced again on the restored
-    registers. *)
+(** Rewinds the machine to the captured instant.  [run] can then resume
+    as if execution had never left the snapshot point.
+
+    Translations start warm: the memory restore compares, at 8-byte
+    granularity, the pages that overlap some hart's cached code range
+    ({!S4e_mem.Sparse_mem.restore}), and every hart invalidates exactly
+    the blocks over the bytes it changes ({!Tb_cache.notify_range}); a
+    page dropped or added counts as changed.  Blocks, chain links, the
+    jump cache and superblock traces over unchanged bytes carry over,
+    so restoring one snapshot for mutant after mutant retranslates only
+    what the previous mutant rewrote.  This relies on every write into
+    translated bytes being notified — guest stores, DMA, {!load_word},
+    {!load_string} and the fault injector all are; a raw write into
+    {!S4e_mem.Bus.ram} would leave a stale translation alive.
+
+    Stuck bits ({!set_stuck}) are not part of a snapshot: they stay set
+    and are forced again on the restored registers. *)
 
 val state_digest : ?include_time:bool -> ?include_instret:bool -> t -> string
 (** Digest of the complete snapshot-visible state (registers, CSRs,

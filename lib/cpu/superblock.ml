@@ -65,6 +65,9 @@ type t = {
   mutable bails_trap : int;
   mutable execs : int;
   mutable instrs_in_traces : int;
+  mutable stuck_gpr : int;
+      (* the hart's stuck GPR, 0 for none: blocks that write it are
+         never promoted (see [promotable_block]) *)
   promote_period : int;  (* power of two *)
   min_edge_hits : int;
   max_blocks : int;
@@ -106,8 +109,8 @@ let create ?(promote_period = 64) ?(min_edge_hits = 16) ?(max_blocks = 16)
   let t =
     { sx; tb; traces = []; promotions = 0; invalidations = 0;
       completions = 0; bails_guard = 0; bails_irq = 0; bails_dead = 0;
-      bails_trap = 0; execs = 0; instrs_in_traces = 0; promote_period;
-      min_edge_hits; max_blocks; max_instrs }
+      bails_trap = 0; execs = 0; instrs_in_traces = 0; stuck_gpr = 0;
+      promote_period; min_edge_hits; max_blocks; max_instrs }
   in
   Tb_cache.set_invalidate_hooks tb ~on_kill:(on_kill t)
     ~on_flush:(fun () -> on_flush t);
@@ -119,24 +122,31 @@ let create ?(promote_period = 64) ?(min_edge_hits = 16) ?(max_blocks = 16)
    atomics, FP, wfi, fences) either observes time mid-block, ends the
    run, or is rare enough that promotion is not worth the compile
    complexity — blocks containing them simply stay on the per-block
-   engine. *)
-let promotable_instr = function
-  | Lui _ | Auipc _ | Jal _ | Jalr _ | Branch _ | Load _ | Store _
-  | Op_imm _ | Shift_imm _ | Op _ | Unary _ ->
-      true
+   engine.  Nor can a trace carry a write to a stuck register: it
+   passes results through OCaml locals, which would read past the
+   force, while the block engine re-forces after the write.  A trace
+   that never writes the register only reads it, and reads the held
+   value. *)
+let promotable_instr ~stuck = function
+  | Lui (rd, _) | Auipc (rd, _) | Jal (rd, _) | Jalr (rd, _, _)
+  | Load (_, rd, _, _) | Op_imm (_, rd, _, _) | Shift_imm (_, rd, _, _)
+  | Op (_, rd, _, _) | Unary (_, rd, _) ->
+      stuck = 0 || rd <> stuck
+  | Branch _ | Store _ -> true
   | _ -> false
 
 (* A loop, not [Array.for_all]: promotion tests blocks on every
    attempt, and [for_all]'s local loop closure would allocate. *)
-let promotable_block (e : Tb_cache.entry) =
+let promotable_block t (e : Tb_cache.entry) =
   let instrs = e.Tb_cache.instrs in
   let n = Array.length instrs in
+  let stuck = t.stuck_gpr in
   let i = ref 0 in
   while
     !i < n
     &&
     let _, _, instr = Array.unsafe_get instrs !i in
-    promotable_instr instr
+    promotable_instr ~stuck instr
   do
     incr i
   done;
@@ -812,7 +822,7 @@ let unattached (e : Tb_cache.entry) =
 let can_extend t (cur : Tb_cache.entry) (dst : Tb_cache.entry) ~instrs
     ~revisit =
   instrs + Array.length dst.Tb_cache.instrs <= t.max_instrs
-  && promotable_block dst
+  && promotable_block t dst
   && (revisit || unattached dst)
   && Option.is_some (edge_to cur dst.Tb_cache.block_pc)
 
@@ -823,7 +833,7 @@ let promote t (head : Tb_cache.entry) =
   let n0 = Array.length head.Tb_cache.instrs in
   if
     n0 > 0 && n0 <= t.max_instrs
-    && promotable_block head
+    && promotable_block t head
     && unattached head
     &&
     let first = hot_successor t head in
@@ -864,6 +874,8 @@ let promote t (head : Tb_cache.entry) =
   end
 
 let promote_period t = t.promote_period
+
+let set_stuck_gpr t r = t.stuck_gpr <- r
 
 let maybe_promote t entry =
   match entry.Tb_cache.attach with

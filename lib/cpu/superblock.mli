@@ -33,7 +33,9 @@
     min_edge_hits) to build a path of 2..max_blocks blocks /
     ≤ max_instrs instructions of promotable (integer, non-CSR,
     non-atomic) instructions, and compiles it.  Revisiting a block
-    extends the path through it again (bounded loop unrolling).
+    extends the path through it again (bounded loop unrolling).  A
+    block that writes the hart's stuck register ({!set_stuck_gpr}) is
+    not promotable, so traces stay on while a bit is stuck.
 
     {b Invalidation.}  Traces die with any constituent block: the cache
     invalidation hooks ({!Tb_cache.set_invalidate_hooks}) mark the
@@ -103,6 +105,14 @@ val create :
     [max_blocks] to 16, [max_instrs] to 96. *)
 
 val promote_period : t -> int
+
+val set_stuck_gpr : t -> int -> unit
+(** [set_stuck_gpr t r] refuses promotion to every block that writes
+    GPR [r] ([0]: none).  A trace forwards register results through
+    locals, so it would read past a stuck bit's force; one that never
+    writes the stuck register only ever reads the held value.  The
+    caller kills the blocks (and so the traces) that write [r] when it
+    sets it. *)
 
 val maybe_promote : t -> Tb_cache.entry -> unit
 (** Attempt promotion of an unattached block (no-op on attached ones).

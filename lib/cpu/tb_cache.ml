@@ -26,6 +26,11 @@ type entry = {
   block_pc : word;
   instrs : (word * int * S4e_isa.Instr.t) array;
   total_size : int;
+  span : int;
+      (* bytes from [block_pc] whose contents the translation read: the
+         instructions, plus the undecodable word that ended the block if
+         one did; at least 4, so a block whose first word failed to
+         decode still dies when that word is rewritten *)
   mutable lowered : uop array option;
   mutable dead : bool;
   (* QEMU-style direct block chaining: up to two successor links,
@@ -50,7 +55,7 @@ type entry = {
    argument of [next].  It is born dead, so nothing ever links to it,
    executes it or mutates it, and its pc (-1) matches no fetch. *)
 let rec no_entry =
-  { block_pc = -1; instrs = [||]; total_size = 0; lowered = None;
+  { block_pc = -1; instrs = [||]; total_size = 0; span = 0; lowered = None;
     dead = true; link_a = no_entry; link_a_pc = -1; link_b = no_entry;
     link_b_pc = -1; link_a_hits = 0; link_b_hits = 0; incoming = [];
     exec_count = 0; attach = No_attachment }
@@ -123,38 +128,38 @@ let decode_at t pc =
     | Some i -> Some (4, i)
     | None -> None
 
+(* A block ends at control flow, at [max_block_len], or just before a
+   word that does not decode; [undecodable] tells the last case apart,
+   since only there did translation read bytes past the block. *)
 let translate t pc =
   let rec go acc cur count =
-    if count >= max_block_len then List.rev acc
+    if count >= max_block_len then (List.rev acc, false)
     else
       match decode_at t cur with
-      | None -> List.rev acc
+      | None -> (List.rev acc, true)
       | Some (size, instr) ->
           let acc = (cur, size, instr) :: acc in
           (* fence.i ends a block so freshly written code is re-decoded *)
           if S4e_isa.Instr.is_control_flow instr
              || instr = S4e_isa.Instr.Wfi
              || instr = S4e_isa.Instr.Fence_i
-          then List.rev acc
+          then (List.rev acc, false)
           else go acc (cur + size) (count + 1)
   in
-  let instrs = Array.of_list (go [] pc 0) in
+  let instrs, undecodable = go [] pc 0 in
+  let instrs = Array.of_list instrs in
   let total_size =
     Array.fold_left (fun acc (_, size, _) -> acc + size) 0 instrs
   in
-  { block_pc = pc; instrs; total_size; lowered = None; dead = false;
+  let span = max 4 (if undecodable then total_size + 4 else total_size) in
+  { block_pc = pc; instrs; total_size; span; lowered = None; dead = false;
     link_a = no_entry; link_a_pc = -1; link_b = no_entry; link_b_pc = -1;
     link_a_hits = 0; link_b_hits = 0; incoming = []; exec_count = 0;
     attach = No_attachment }
 
-(* Every entry covers at least one word, so a store over an entry that
-   failed to decode (empty [instrs]) still invalidates it and the new
-   code gets retranslated. *)
-let span e = max e.total_size 4
-
 let register_pages t e =
   let lo = e.block_pc lsr page_shift
-  and hi = (e.block_pc + span e - 1) lsr page_shift in
+  and hi = (e.block_pc + e.span - 1) lsr page_shift in
   for p = lo to hi do
     match Hashtbl.find_opt t.pages p with
     | Some l -> l := e :: !l
@@ -163,7 +168,7 @@ let register_pages t e =
 
 let unregister_pages t e =
   let lo = e.block_pc lsr page_shift
-  and hi = (e.block_pc + span e - 1) lsr page_shift in
+  and hi = (e.block_pc + e.span - 1) lsr page_shift in
   for p = lo to hi do
     match Hashtbl.find_opt t.pages p with
     | Some l -> l := List.filter (fun x -> not (x == e)) !l
@@ -220,7 +225,7 @@ let lookup_table t pc slot =
         Hashtbl.replace t.table pc e;
         register_pages t e;
         if pc < t.code_lo then t.code_lo <- pc;
-        if pc + span e > t.code_hi then t.code_hi <- pc + span e;
+        if pc + e.span > t.code_hi then t.code_hi <- pc + e.span;
         e
   in
   Array.unsafe_set t.jump slot e;
@@ -285,18 +290,22 @@ let flush t =
   t.code_lo <- max_int;
   t.code_hi <- 0
 
+(* Whether [\[addr, addr+len)] meets the range cached blocks were
+   decoded from: outside it, a write cannot touch any translation. *)
+let covers t addr len = addr + len > t.code_lo && addr < t.code_hi
+
 (* Page-granular store invalidation: only blocks overlapping the
    written word die (a store writes at most 4 bytes).  The common case
    — a store outside the cached code range — is two compares. *)
 let notify_store t addr =
-  if addr >= t.code_lo - 3 && addr < t.code_hi then begin
+  if covers t addr 4 then begin
     let lo = addr lsr page_shift and hi = (addr + 3) lsr page_shift in
     for p = lo to hi do
       match Hashtbl.find_opt t.pages p with
       | Some l ->
           List.iter
             (fun e ->
-              if e.block_pc < addr + 4 && addr < e.block_pc + span e then
+              if e.block_pc < addr + 4 && addr < e.block_pc + e.span then
                 kill t e)
             !l
       | None -> ()
@@ -304,21 +313,28 @@ let notify_store t addr =
   end
 
 (* Same as [notify_store] for an arbitrary-length written range (DMA
-   bursts): one pass over the overlapped pages, not one call per word. *)
+   bursts, the ranges a restore changes): one pass over the overlapped
+   pages, not one call per word. *)
 let notify_range t addr len =
-  if len > 0 && addr + len > t.code_lo && addr < t.code_hi then begin
+  if len > 0 && covers t addr len then begin
     let lo = addr lsr page_shift and hi = (addr + len - 1) lsr page_shift in
     for p = lo to hi do
       match Hashtbl.find_opt t.pages p with
       | Some l ->
           List.iter
             (fun e ->
-              if e.block_pc < addr + len && addr < e.block_pc + span e then
+              if e.block_pc < addr + len && addr < e.block_pc + e.span then
                 kill t e)
             !l
       | None -> ()
     done
   end
+
+(* Kill every live block [p] selects (collected first: killing edits
+   the table). *)
+let kill_if t p =
+  List.iter (kill t)
+    (Hashtbl.fold (fun _ e acc -> if p e then e :: acc else acc) t.table [])
 
 type stats = {
   st_blocks : int;

@@ -20,10 +20,15 @@
     {!jump_slots} slots (QEMU's [tb_jmp_cache]); only its misses hash
     into the table behind it.
 
-    Stores into cached code invalidate at page granularity: only blocks
-    overlapping the written word die, and every chain link pointing at
-    a dead block is severed.  [fence.i] and {!flush} invalidate
-    everything.  Ablated in experiments E9 and E13. *)
+    A translation lives exactly as long as the guest bytes it was
+    decoded from (its [span]).  Stores into cached code invalidate
+    at page granularity: only blocks overlapping the written word die,
+    and every chain link pointing at a dead block is severed.
+    {!notify_range} does the same for a written range — DMA bursts and
+    the ranges a snapshot restore changes — so blocks, links, the jump
+    cache and superblock traces over unchanged bytes carry over.
+    [fence.i] and {!flush} invalidate everything.  Ablated in
+    experiments E9 and E13. *)
 
 type word = S4e_bits.Bits.word
 
@@ -52,7 +57,12 @@ type entry = {
   block_pc : word;
   instrs : (word * int * S4e_isa.Instr.t) array;
       (** (pc, size-in-bytes, instruction) triples *)
-  total_size : int;  (** bytes covered *)
+  total_size : int;  (** bytes covered by [instrs] *)
+  span : int;
+      (** bytes from [block_pc] whose contents the translation read:
+          [total_size], plus the undecodable word that ended the block
+          if one did, and at least 4.  A write into them kills the
+          entry. *)
   mutable lowered : uop array option;
       (** lazily compiled µop form (hook-free fast path) *)
   mutable dead : bool;  (** invalidated; never executed or linked again *)
@@ -110,8 +120,18 @@ val notify_store : t -> word -> unit
 
 val notify_range : t -> word -> int -> unit
 (** [notify_range t addr len] — {!notify_store} for an arbitrary-length
-    written range (DMA bursts): invalidates exactly the blocks
-    overlapping [\[addr, addr+len)]. *)
+    written range (DMA bursts, the ranges a snapshot restore changes):
+    invalidates exactly the blocks whose span overlaps
+    [\[addr, addr+len)]. *)
+
+val covers : t -> word -> int -> bool
+(** [covers t addr len]: [\[addr, addr+len)] overlaps the address range
+    cached blocks were decoded from (a superset of their spans, reset
+    only by {!flush}).  A write outside it cannot touch a translation. *)
+
+val kill_if : t -> (entry -> bool) -> unit
+(** Invalidates every cached block the predicate selects, exactly as a
+    store into it would (links severed, traces told). *)
 
 val flush : t -> unit
 
@@ -137,8 +157,8 @@ type stats = {
           the lookup entirely and are {e not} included in
           [st_hits] *)
   st_invalidations : int;
-      (** blocks individually killed by {!notify_store} (flushes not
-          counted) *)
+      (** blocks individually killed by {!notify_store},
+          {!notify_range} or {!kill_if} (flushes not counted) *)
 }
 
 val stats : t -> stats

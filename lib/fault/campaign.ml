@@ -252,9 +252,9 @@ let clint_hi = S4e_soc.Memory_map.clint_base + 0x10000
    apply either strictness. *)
 type trace = {
   tr_interval : int;
-  tr_digests : (int, int * string * int * int) Hashtbl.t;
-      (** instret -> (cheap fingerprint, time-relaxed state digest,
-          cycle, CLINT mtime) *)
+  tr_digests : (int, int * int * string * int * int) Hashtbl.t;
+      (** instret -> (cheap fingerprint, RAM fingerprint, time-relaxed
+          state digest, cycle, CLINT mtime) *)
   tr_strict : bool;
       (** the golden run observes time, so convergence must also match
           cycle and mtime *)
@@ -283,6 +283,7 @@ let collect_trace ?config ~fuel ~interval ~golden program =
         if ir > 0 && ir mod interval = 0 && not (Hashtbl.mem digests ir) then
           Hashtbl.replace digests ir
             ( cheap_fingerprint m,
+              S4e_mem.Sparse_mem.fingerprint (S4e_mem.Bus.ram m.Machine.bus),
               Machine.state_digest ~include_time:false m,
               st.Arch_state.cycle,
               S4e_soc.Clint.time m.Machine.clint ))
@@ -297,8 +298,9 @@ let collect_trace ?config ~fuel ~interval ~golden program =
 
 (* Instret (absolute) after which the armed fault is fully applied and
    its hooks are inert, i.e. state equality with the golden trace
-   implies an identical future.  A stuck-at register bit is held for
-   the whole run, so it never qualifies. *)
+   implies an identical future.  A memory flip is applied at arm time
+   and leaves no hook behind; a stuck-at register bit is held for the
+   whole run, so it never qualifies. *)
 let inert_after f =
   match (f.Fault.kind, f.Fault.loc) with
   | Fault.Transient n, _ -> max 1 n
@@ -376,24 +378,29 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
   in
   (* Convergence test at a checkpoint boundary ([st.instret] a multiple
      of the trace interval).  The cheap fingerprint is checked every
-     time, but the full digest (an MD5 over memory, ~20us) is
-     throttled: a run whose registers reconverge while its memory stays
-     corrupted — a flipped byte in never-rewritten data, say — would
-     otherwise pay the full digest at every checkpoint until its budget
-     runs out.  Each miss doubles the stride between full-digest probes
-     (capped, so a late memory reconvergence is still caught within a
-     few intervals). *)
+     time, but the full comparison is throttled: a run whose registers
+     reconverge while its memory stays corrupted — a flipped byte in
+     never-rewritten data, say — would otherwise pay for it at every
+     checkpoint until its budget runs out.  Each miss doubles the
+     stride between full comparisons (capped, so a late memory
+     reconvergence is still caught within a few intervals).  A full
+     comparison first matches the RAM fingerprint, a fast hash of the
+     pages, and only then the state digest (an MD5 over memory, about
+     30 us): unequal memories, the usual miss, fail the fingerprint,
+     so the digest runs almost only when the states are equal. *)
   let probe tr ~next_full ~stride =
     let ir = st.Arch_state.instret in
     match Hashtbl.find_opt tr.tr_digests ir with
-    | Some (ck, d, cyc, mtime)
+    | Some (ck, mem, d, cyc, mtime)
       when ck = cheap_fingerprint m
            && ((not tr.tr_strict)
               || (cyc = st.Arch_state.cycle
                  && mtime = S4e_soc.Clint.time m.Machine.clint))
            && ir >= !next_full ->
-        if String.equal d (Machine.state_digest ~include_time:false m) then
-          true
+        if
+          mem = S4e_mem.Sparse_mem.fingerprint (S4e_mem.Bus.ram m.Machine.bus)
+          && String.equal d (Machine.state_digest ~include_time:false m)
+        then true
         else begin
           next_full := ir + (!stride * tr.tr_interval);
           stride := min 16 (2 * !stride);
@@ -459,13 +466,19 @@ let run_task_body ?config ~engine ~fuel ~golden ~trace ~tel ~cancelled
       ~fuel program ~golden fault
   in
   let run_faulty ~slot ~budget ~inert_at ~orig fault =
-    (* The convergence guard only applies to transients: stuck-at
-       faults are never inert, and a permanent code/data flip persists
-       in the digested memory image, so neither can ever reconverge. *)
+    (* The convergence guard applies to the faults that act once:
+       transients, and permanent data flips — the byte is flipped at
+       arm time and the program may overwrite it, after which the state
+       can match the golden trace again.  A stuck-at bit is never
+       inert, and a flipped code word stays in the digested memory
+       image unless the program rewrites its own code, so probing for
+       either would only cost digests. *)
     let dl = deadline () in
     let guarded budget =
-      match (trace, fault.Fault.kind) with
-      | Some tr, Fault.Transient _ -> run_guarded tr ~budget ~inert_at ~dl
+      match (trace, fault.Fault.kind, fault.Fault.loc) with
+      | Some tr, Fault.Transient _, _ | Some tr, Fault.Permanent, Fault.Data _
+        ->
+          run_guarded tr ~budget ~inert_at ~dl
       | _ -> classify ~golden m (run_deadline m ~dl ~fuel:budget)
     in
     let i0 = st.Arch_state.instret in

@@ -10,11 +10,19 @@ type kind = Permanent | Transient of int
 
 type t = { loc : location; kind : kind }
 
+(* A register outside 0..31 (a fault built in code) has no ABI name:
+   it prints by index, so the per-mutant trace span can always name a
+   fault the injector will reject. *)
 let describe t =
+  let reg abi prefix r =
+    if S4e_isa.Reg.valid r then abi r else prefix ^ string_of_int r
+  in
   let loc =
     match t.loc with
-    | Gpr (r, b) -> Printf.sprintf "GPR %s bit %d" (S4e_isa.Reg.abi_name r) b
-    | Fpr (r, b) -> Printf.sprintf "FPR %s bit %d" (S4e_isa.Reg.f_name r) b
+    | Gpr (r, b) ->
+        Printf.sprintf "GPR %s bit %d" (reg S4e_isa.Reg.abi_name "x" r) b
+    | Fpr (r, b) ->
+        Printf.sprintf "FPR %s bit %d" (reg S4e_isa.Reg.f_name "f" r) b
     | Code (a, b) -> Printf.sprintf "code 0x%08x bit %d" a b
     | Data (a, b) -> Printf.sprintf "data 0x%08x bit %d" a b
   in

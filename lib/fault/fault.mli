@@ -21,6 +21,9 @@ type kind =
 type t = { loc : location; kind : kind }
 
 val describe : t -> string
+(** Human-readable form ("GPR a0 bit 3 (permanent)").  Total: a
+    register outside 0..31, which {!validate} rejects, prints by index
+    ("GPR x33 bit 0"). *)
 
 val pp : Format.formatter -> t -> unit
 

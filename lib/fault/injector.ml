@@ -19,11 +19,11 @@ let flip_code m addr bit =
      cover, so flush rather than rely on that implementation detail. *)
   S4e_mem.Bus.tlb_flush m.Machine.bus
 
+(* A data byte may lie inside translated code (a program that reads or
+   rewrites its own instructions): flip it through the containing word,
+   like a code bit, so its translations die too. *)
 let flip_data m addr bit =
-  let ram = S4e_mem.Bus.ram m.Machine.bus in
-  let b = S4e_mem.Sparse_mem.read8 ram addr in
-  S4e_mem.Sparse_mem.write8 ram addr (b lxor (1 lsl (bit land 7)));
-  S4e_mem.Bus.tlb_flush m.Machine.bus
+  flip_code m addr (((addr land 3) * 8) + (bit land 7))
 
 let flip_gpr st r bit =
   let v = S4e_cpu.Arch_state.get_reg st r in

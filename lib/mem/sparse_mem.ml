@@ -119,21 +119,53 @@ let snapshot m =
   Hashtbl.iter (fun k p -> Hashtbl.replace s k (Bytes.copy p)) m.pages;
   s
 
-let restore m s =
+(* Report where the live page [cur] differs from its saved copy, as
+   maximal runs of differing 8-byte words.  Equal pages (the common
+   case) cost one memcmp. *)
+let diff_page base cur saved changed =
+  if not (Bytes.equal cur saved) then begin
+    let run = ref (-1) in
+    let off = ref 0 in
+    while !off < page_size do
+      if (Bytes.get_int64_ne cur !off : int64) <> Bytes.get_int64_ne saved !off
+      then begin
+        if !run < 0 then run := !off
+      end
+      else if !run >= 0 then begin
+        changed (base + !run) (!off - !run);
+        run := -1
+      end;
+      off := !off + 8
+    done;
+    if !run >= 0 then changed (base + !run) (page_size - !run)
+  end
+
+let restore m s ~watch ~changed =
   (* Drop pages born after the snapshot, then blit the saved contents
      into the surviving page buffers (reuse avoids reallocation when the
-     same snapshot is restored many times, as fault campaigns do). *)
+     same snapshot is restored many times, as fault campaigns do).  A
+     watched page that is dropped or added changes as a whole. *)
   let stale =
     Hashtbl.fold
       (fun k _ acc -> if Hashtbl.mem s k then acc else k :: acc)
       m.pages []
   in
-  List.iter (Hashtbl.remove m.pages) stale;
+  List.iter
+    (fun k ->
+      Hashtbl.remove m.pages k;
+      let base = k lsl page_bits in
+      if watch base then changed base page_size)
+    stale;
   Hashtbl.iter
     (fun k p ->
+      let base = k lsl page_bits in
       match Hashtbl.find_opt m.pages k with
-      | Some dst -> Bytes.blit p 0 dst 0 page_size
-      | None -> Hashtbl.replace m.pages k (Bytes.copy p))
+      | Some dst ->
+          if watch base then diff_page base dst p changed;
+          Bytes.blit p 0 dst 0 page_size
+      | None ->
+          Hashtbl.replace m.pages k (Bytes.copy p);
+          if watch base then changed base page_size)
     s;
   m.on_change ()
 
@@ -148,6 +180,24 @@ let digest m =
       Buffer.add_string b (Digest.bytes (Hashtbl.find m.pages k)))
     keys;
   Digest.string (Buffer.contents b)
+
+(* A page's 8-byte words, hashed as a polynomial seeded by its number
+   (a word's high half is added in again: [Int64.to_int] drops bit
+   63); the sum over pages does not depend on table order. *)
+let page_fingerprint k p =
+  let h = ref k in
+  let off = ref 0 in
+  while !off < page_size do
+    let w = Bytes.get_int64_ne p !off in
+    h :=
+      (!h * 0x100000001b3) + Int64.to_int w
+      + Int64.to_int (Int64.shift_right_logical w 32);
+    off := !off + 8
+  done;
+  !h
+
+let fingerprint m =
+  Hashtbl.fold (fun k p acc -> acc + page_fingerprint k p) m.pages 0
 
 let touched_pages m = Hashtbl.length m.pages
 

@@ -66,10 +66,20 @@ type snapshot
 val snapshot : t -> snapshot
 (** [snapshot m] captures the current contents.  O(touched pages). *)
 
-val restore : t -> snapshot -> unit
-(** [restore m s] rewinds [m] to the captured contents.  A snapshot can
-    be restored any number of times; page buffers still live in [m] are
-    reused in place, so repeated restores do not churn the heap. *)
+val restore :
+  t -> snapshot -> watch:(int -> bool) -> changed:(int -> int -> unit) -> unit
+(** [restore m s ~watch ~changed] rewinds [m] to the captured contents.
+    A snapshot can be restored any number of times; page buffers still
+    live in [m] are reused in place, so repeated restores do not churn
+    the heap.
+
+    [changed addr len] is called for every range of bytes the restore
+    changes, on the pages whose base address satisfies [watch].  Ranges
+    are maximal runs of 8-byte-aligned words that differ; a watched
+    page that the restore drops or adds is reported whole.  Unwatched
+    pages are copied without being compared.  The machine watches the
+    pages that hold translated code, so it can invalidate exactly the
+    translations whose bytes a restore changes. *)
 
 val digest : t -> string
 (** Order-independent digest of every allocated page (page base + MD5
@@ -77,6 +87,13 @@ val digest : t -> string
     contents digest equally; an all-zero page digests differently from
     an absent one, which is safe for the fault campaign's convergence
     check (a spurious mismatch only costs the early exit). *)
+
+val fingerprint : t -> int
+(** A fast, non-cryptographic hash of the allocated pages (numbers and
+    contents): about 2 µs a page, four times cheaper than {!digest}.
+    Equal memories fingerprint equally, so a mismatch proves the
+    memories differ; a match proves nothing, and {!digest} must
+    decide. *)
 
 val touched_pages : t -> int
 (** Number of pages allocated so far. *)

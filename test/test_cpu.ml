@@ -620,6 +620,70 @@ patch:
   let blocks = ts.S4e_cpu.Tb_cache.st_blocks in
   Alcotest.(check bool) "unrelated blocks survive" true (blocks >= 2)
 
+(* A block that ends just before an undecodable word was decoded from
+   that word too: had it decoded, the block would be longer, and a
+   block boundary is where interrupts are sampled.  So rewriting the
+   word kills the block, and so does a restore that changes it. *)
+let test_undecodable_end_in_span () =
+  let src = {|
+_start:
+  li   a0, 1
+  addi a0, a0, 2
+  .word 0
+|}
+  in
+  let m, stop = run_asm src in
+  (match stop with
+  | Machine.Fatal_trap (S4e_cpu.Trap.Illegal_instruction 0, pc) ->
+      Alcotest.(check int) "traps on the word" 0x8000_0008 pc
+  | stop -> Alcotest.failf "expected an illegal instruction, got %a"
+              Machine.pp_stop_reason stop);
+  let killed () = (Machine.tb_stats m).S4e_cpu.Tb_cache.st_invalidations in
+  let k0 = killed () in
+  Machine.load_word m 0x8000_0008 (S4e_isa.Encode.encode (Instr.Ebreak));
+  (* the block before the word, and the empty block at it *)
+  Alcotest.(check int) "rewriting the word kills both blocks" (k0 + 2)
+    (killed ())
+
+(* A restore keeps the translations over bytes it does not change and
+   kills exactly those over bytes it does: a rerun translates nothing
+   new, unless code was rewritten between snapshot and restore. *)
+let test_restore_keeps_translations () =
+  let src = {|
+_start:
+  li   s0, 0
+  li   s1, 200
+loop:
+  addi s0, s0, 1
+slot:
+  addi a0, a0, 3
+  blt  s0, s1, loop
+  li   t6, 0x00100000
+  sw   a0, 0(t6)
+  ebreak
+|}
+  in
+  let p = S4e_asm.Assembler.assemble_exn src in
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine p m;
+  let snap = Machine.snapshot m in
+  let first = exit_code (Machine.run m ~fuel:100_000) in
+  let misses () = (Machine.tb_stats m).S4e_cpu.Tb_cache.st_misses in
+  let killed () = (Machine.tb_stats m).S4e_cpu.Tb_cache.st_invalidations in
+  let m0 = misses () and k0 = killed () in
+  Machine.restore m snap;
+  Alcotest.(check int) "rerun exits the same" first
+    (exit_code (Machine.run m ~fuel:100_000));
+  Alcotest.(check int) "rerun translates nothing" m0 (misses ());
+  Alcotest.(check int) "restore kills nothing" k0 (killed ());
+  (* slot: addi a0, a0, 3 -> addi a0, a0, 5 *)
+  let slot = Option.get (S4e_asm.Program.symbol p "slot") in
+  Machine.load_word m slot
+    (S4e_isa.Encode.encode (Instr.Op_imm (Instr.ADDI, 10, 10, 5)));
+  Machine.restore m snap;
+  Alcotest.(check int) "restore takes the rewrite back" first
+    (exit_code (Machine.run m ~fuel:100_000))
+
 let test_decoder_configs_agree () =
   (* the same torture program must produce identical results under all
      four decoder/TB-cache configurations *)
@@ -1280,6 +1344,10 @@ let () =
             test_fence_i_self_modifying;
           Alcotest.test_case "page-granular invalidation" `Quick
             test_page_granular_invalidation;
+          Alcotest.test_case "undecodable end is in the span" `Quick
+            test_undecodable_end_in_span;
+          Alcotest.test_case "restore keeps translations" `Quick
+            test_restore_keeps_translations;
           Alcotest.test_case "decoder configs agree" `Quick
             test_decoder_configs_agree;
           Alcotest.test_case "restricted ISA traps" `Quick

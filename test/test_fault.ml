@@ -366,6 +366,235 @@ warm:
       | _ -> Alcotest.fail (name ^ ": expected one classified mutant"))
     [ ("engine", Campaign.default_engine); ("rerun", Campaign.rerun_engine) ]
 
+(* ---------------- warm forks ---------------- *)
+
+(* A campaign restores one snapshot for mutant after mutant and keeps
+   every translation whose bytes the restore leaves unchanged, so each
+   mutant starts on the blocks, links and traces the previous ones
+   left.  That must be invisible: every mutant classifies exactly as a
+   fresh machine from reset ([Campaign.run_one]) does.  Three programs
+   stress the lifetime rule — a dhrystone-like target; one whose data
+   shares a 256-byte translation page with its code; and one that
+   rewrites an instruction in its loop (so a restore must kill the
+   rewritten block) and reads a routine's instruction word as data (so
+   a data flip lands on warm, translated code). *)
+let dhry_src = {|
+_start:
+  li   s0, 0
+  li   s1, 12
+  li   s5, 0
+loop:
+  la   a0, src_str
+  la   a1, dst_str
+  li   a2, 16
+  call str_copy
+  la   a0, dst_str
+  la   a1, ref_str
+  li   a2, 16
+  call str_cmp
+  add  s5, s5, a0
+  mv   a0, s0
+  call int_mix
+  add  s5, s5, a0
+  la   a3, arr
+  andi a4, s0, 15
+  slli a4, a4, 2
+  add  a3, a3, a4
+  lw   a5, 0(a3)
+  add  a5, a5, s5
+  sw   a5, 0(a3)
+  la   a3, src_str
+  andi a4, s0, 15
+  add  a3, a3, a4
+  andi a5, s5, 127
+  sb   a5, 0(a3)
+  addi s0, s0, 1
+  blt  s0, s1, loop
+  la   a3, arr
+  li   a4, 0
+  li   a6, 16
+fold:
+  lw   a5, 0(a3)
+  xor  s5, s5, a5
+  addi a3, a3, 4
+  addi a4, a4, 1
+  blt  a4, a6, fold
+  li   t6, 0x00100000
+  sw   s5, 0(t6)
+  ebreak
+str_copy:
+  li   t0, 0
+sc_loop:
+  add  t1, a0, t0
+  lbu  t2, 0(t1)
+  add  t3, a1, t0
+  sb   t2, 0(t3)
+  addi t0, t0, 1
+  blt  t0, a2, sc_loop
+  ret
+str_cmp:
+  li   t0, 0
+  li   t4, 0
+scm_loop:
+  add  t1, a0, t0
+  lbu  t2, 0(t1)
+  add  t3, a1, t0
+  lbu  t5, 0(t3)
+  bne  t2, t5, scm_next
+  addi t4, t4, 1
+scm_next:
+  addi t0, t0, 1
+  blt  t0, a2, scm_loop
+  mv   a0, t4
+  ret
+int_mix:
+  slli t0, a0, 2
+  add  t0, t0, a0
+  li   t5, 0x5a
+  xor  t0, t0, t5
+  srli t1, t0, 3
+  add  a0, t0, t1
+  ret
+  .data
+src_str:
+  .word 0x44434241, 0x48474645, 0x4c4b4a49, 0x504f4e4d
+dst_str:
+  .space 16
+ref_str:
+  .word 0x44434241, 0x48474645, 0x4c4b4a21, 0x504f4e21
+arr:
+  .word 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3
+|}
+
+(* No [.data]: [buf] follows the code in the same 256-byte page, and
+   the loop stores into it on every iteration. *)
+let shared_page_src = {|
+_start:
+  la   s2, buf
+  li   s0, 0
+  li   s1, 150
+  li   s3, 7
+loop:
+  andi t0, s0, 7
+  slli t0, t0, 2
+  add  t1, s2, t0
+  lw   t2, 0(t1)
+  add  t2, t2, s0
+  xor  t2, t2, s3
+  sw   t2, 0(t1)
+  add  s3, s3, t2
+  addi s0, s0, 1
+  blt  s0, s1, loop
+  li   t6, 0x00100000
+  sw   s3, 0(t6)
+  ebreak
+buf:
+  .word 1, 2, 3, 4, 5, 6, 7, 8
+|}
+
+(* [slot] is rewritten from one of two templates before each pass (from
+   another block, so no engine runs a stale copy of it), and [leaf]'s
+   first word is read as data into a spare word the exit code never
+   sees. *)
+let smc_src = {|
+_start:
+  li   s0, 0
+  li   s1, 40
+  li   a0, 0
+  la   s2, slot
+  la   s4, tmpl
+loop:
+  andi t0, s0, 1
+  slli t0, t0, 2
+  add  t0, s4, t0
+  lw   t1, 0(t0)
+  sw   t1, 0(s2)
+  call leaf
+slot:
+  addi a0, a0, 1
+  addi s0, s0, 1
+  blt  s0, s1, loop
+  la   t2, leaf
+  lw   t3, 0(t2)
+  la   t4, spare
+  sw   t3, 0(t4)
+  li   t6, 0x00100000
+  sw   a0, 0(t6)
+  ebreak
+leaf:
+  xori a0, a0, 0x55
+  slli a1, a0, 1
+  add  a0, a0, a1
+  ret
+tmpl:
+  addi a0, a0, 3
+  addi a0, a0, 7
+spare:
+  .word 0
+|}
+
+let warm_fork_programs =
+  [ ("dhry", dhry_src); ("shared page", shared_page_src);
+    ("self-modifying", smc_src) ]
+
+let test_warm_forks_equal_run_one () =
+  List.iter
+    (fun (name, src) ->
+      let p = S4e_asm.Assembler.assemble_exn src in
+      let golden, cov = Campaign.golden ~fuel:1_000_000 p in
+      Alcotest.(check bool) (name ^ ": golden exits") true
+        (golden.Campaign.sig_exit <> None);
+      let fuel = 3 * golden.Campaign.sig_instret in
+      let faults =
+        Campaign.generate ~seed:17 ~n:240 ~targets:[ `Gpr; `Code; `Data ]
+          ~kinds:[ `Permanent; `Transient ] ~coverage:cov
+          ~golden_instret:golden.Campaign.sig_instret
+      in
+      let want =
+        List.map
+          (fun f ->
+            (Fault.to_string f,
+             Campaign.outcome_name (Campaign.run_one ~fuel p ~golden f)))
+          faults
+      in
+      List.iter
+        (fun jobs ->
+          let got =
+            List.map
+              (fun (f, o) -> (Fault.to_string f, Campaign.outcome_name o))
+              (Campaign.run ~jobs ~fuel p ~golden faults)
+          in
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "%s at -j %d: every mutant = run_one" name jobs)
+            want got)
+        [ 1; 2 ])
+    warm_fork_programs
+
+(* A restore keeps the program's translations, so forking a warm
+   program allocates almost nothing: no block is decoded, lowered or
+   promoted again.  (Retranslating every block, as a flushing restore
+   would, costs about 20,000 minor words on a dhrystone-sized
+   target.) *)
+let test_warm_restore_allocation () =
+  let p = S4e_asm.Assembler.assemble_exn dhry_src in
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine p m;
+  let snap = Machine.snapshot m in
+  let run () = Machine.run m ~fuel:1_000_000 in
+  let first = run () in
+  (* warm-up: traces promote over the first few reruns *)
+  for _ = 1 to 5 do
+    Machine.restore m snap;
+    ignore (run () : Machine.stop_reason)
+  done;
+  let w0 = Gc.minor_words () in
+  Machine.restore m snap;
+  let stop = run () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "rerun stops like the first run" true (stop = first);
+  if words >= 1000. then
+    Alcotest.failf "warm restore + rerun allocated %.0f minor words" words
+
 (* ---------------- hardening: errors, journals, shards ---------------- *)
 
 module Journal = S4e_fault.Journal
@@ -415,6 +644,26 @@ let test_malformed_fault_errored () =
   Alcotest.(check int) "campaign.retries" 1 (v "campaign.retries");
   let s = Campaign.summarize results in
   Alcotest.(check int) "summary counts it" 1 s.Campaign.errors
+
+(* [Fault.describe] is total, so the per-mutant trace span (formatted
+   with [Fault.pp]) cannot turn a malformed fault into an exception out
+   of the campaign. *)
+let test_describe_total () =
+  Alcotest.(check string) "gpr by index" "GPR x33 bit 0 (permanent)"
+    (Fault.describe { Fault.loc = Fault.Gpr (33, 0); kind = Fault.Permanent });
+  Alcotest.(check string) "fpr by index" "FPR f-1 bit 2 (transient @ instr 5)"
+    (Fault.describe { Fault.loc = Fault.Fpr (-1, 2); kind = Fault.Transient 5 });
+  Alcotest.(check string) "valid register by name" "GPR a0 bit 3 (permanent)"
+    (Fault.describe { Fault.loc = Fault.Gpr (10, 3); kind = Fault.Permanent });
+  let p = program () in
+  let golden, _ = Campaign.golden ~fuel:10_000 p in
+  let bad = { Fault.loc = Fault.Gpr (33, 0); kind = Fault.Permanent } in
+  let sink = S4e_obs.Trace_events.create () in
+  match Campaign.run ~trace:sink ~fuel:10_000 p ~golden [ bad ] with
+  | [ (_, o) ] ->
+      Alcotest.(check string) "traced malformed mutant errored" "errored"
+        (Campaign.outcome_name o)
+  | _ -> Alcotest.fail "expected one classified mutant"
 
 let test_wallclock_timeout () =
   (* With an (absurdly) tiny wall-clock budget every mutant hits its
@@ -1088,11 +1337,16 @@ let () =
           Alcotest.test_case "engine axes agree" `Quick
             test_engine_axes_agree;
           Alcotest.test_case "mid-block code flip visibility" `Quick
-            test_midblock_code_flip_visibility ] );
+            test_midblock_code_flip_visibility;
+          Alcotest.test_case "warm forks = run_one" `Quick
+            test_warm_forks_equal_run_one;
+          Alcotest.test_case "warm restore allocates little" `Quick
+            test_warm_restore_allocation ] );
       ( "hardening",
         [ fault_string_roundtrip;
           Alcotest.test_case "malformed fault errored" `Quick
             test_malformed_fault_errored;
+          Alcotest.test_case "describe is total" `Quick test_describe_total;
           Alcotest.test_case "wall-clock timeout" `Quick
             test_wallclock_timeout;
           shard_completeness;

@@ -741,6 +741,145 @@ loop:
         [ 0; 1_000; 4_000 ])
     [ (9, 5); (18, 0); (18, 31); (7, 4); (6, 0) ]
 
+(* Traces stay on while a bit is stuck: only the blocks that write the
+   stuck register are kept out of them.  [two_loops_src] has a hot loop
+   that writes s1, s2 and t0 and a second one that reads s1 but writes
+   only s3, s4 and temporaries, so a stuck s1 leaves the second loop's
+   traces running. *)
+let two_loops_src = {|
+_start:
+  li   s0, 3
+  li   s1, 0
+  li   s2, 0
+  li   s3, 0
+  li   s4, 0
+outer:
+  li   t0, 400
+loop_a:
+  addi s1, s1, 1
+  xor  s2, s2, s1
+  slli t1, s2, 3
+  add  s2, s2, t1
+  addi t0, t0, -1
+  bnez t0, loop_a
+  li   t0, 400
+loop_b:
+  add  s3, s3, s1
+  srli t2, s3, 2
+  xor  s4, s4, t2
+  andi t3, s3, 1
+  beqz t3, b_even
+  addi s4, s4, 5
+b_even:
+  addi t0, t0, -1
+  bnez t0, loop_b
+  addi s0, s0, -1
+  bnez s0, outer
+  add  a0, s1, s2
+  add  a0, a0, s3
+  add  a0, a0, s4
+  li   t6, 0x00100000
+  sw   a0, 0(t6)
+  ebreak
+|}
+
+let gpr_stuck reg bit value =
+  Some { Machine.sk_file = Machine.Gpr; sk_reg = reg; sk_bit = bit;
+         sk_value = value }
+
+(* Run [p] through [stages]: at each retired-instruction count, switch
+   the stuck bit to the given setting ([None] disarms), then run to
+   [fuel].  [`Hook] is the per-instruction reference (re-forcing once
+   more at each switch, since the hook only forces before the next
+   instruction); [`Compiled] calls [Machine.set_stuck].  Also returns
+   the trace executions counted while some bit was stuck. *)
+let run_staged ~via ~fuel config p stages =
+  let m = Machine.create ~config () in
+  S4e_asm.Program.load_machine p m;
+  let st = Machine.state m in
+  let hooks = m.Machine.hooks in
+  let cur = ref None and hook = ref None in
+  let execs () =
+    match Machine.trace_stats m with
+    | Some s -> s.S4e_cpu.Superblock.sb_execs
+    | None -> 0
+  in
+  let armed_execs = ref 0 and since = ref 0 in
+  let switch s =
+    if !cur <> None then armed_execs := !armed_execs + execs () - !since;
+    since := execs ();
+    (match via with
+    | `Hook ->
+        Option.iter (S4e_cpu.Hooks.unregister hooks) !hook;
+        Option.iter (ref_force st) !cur;
+        hook :=
+          Option.map
+            (fun sk -> S4e_cpu.Hooks.on_insn hooks (fun _ _ -> ref_force st sk))
+            s
+    | `Compiled -> Machine.set_stuck m s);
+    cur := s
+  in
+  let rec go at = function
+    | [] -> Machine.run m ~fuel:(fuel - at)
+    | (k, s) :: rest -> (
+        match Machine.run m ~fuel:(k - at) with
+        | Machine.Out_of_fuel ->
+            switch s;
+            go k rest
+        | stop -> stop)
+  in
+  let stop = go 0 stages in
+  switch None;
+  ({ so = outcome_of m stop; so_uart = Machine.uart_output m }, !armed_execs)
+
+let test_stuck_traces_stay_on () =
+  let p = S4e_asm.Assembler.assemble_exn two_loops_src in
+  let fuel = 100_000 in
+  let check name stages ~traced =
+    let reference, _ =
+      run_staged ~via:`Hook ~fuel Machine.default_config p stages
+    in
+    List.iter
+      (fun (engine, config) ->
+        let o, execs = run_staged ~via:`Compiled ~fuel config p stages in
+        if o <> reference then
+          Alcotest.failf
+            "%s on %s differs from the hook reference (stop %s/%s, instret \
+             %d/%d, cycles %d/%d)"
+            name engine o.so.o_stop reference.so.o_stop o.so.o_instret
+            reference.so.o_instret o.so.o_cycles reference.so.o_cycles;
+        if traced && config.Machine.superblocks && execs = 0 then
+          Alcotest.failf "%s: no trace ran while the bit was stuck" name)
+      engines
+  in
+  (* s1 is written in loop_a and read in loop_b; t0 in both loops *)
+  check "s1 stuck from reset" [ (0, gpr_stuck 9 0 true) ] ~traced:true;
+  check "s1 stuck after traces promoted" [ (3_000, gpr_stuck 9 4 false) ]
+    ~traced:true;
+  check "t0 stuck mid-loop" [ (1_000, gpr_stuck 5 2 true) ] ~traced:false;
+  check "s2 bit 31 armed, then disarmed"
+    [ (2_500, gpr_stuck 18 31 true); (9_000, None) ]
+    ~traced:false;
+  check "s1 re-armed as s3, then disarmed"
+    [ (1_000, gpr_stuck 9 1 true); (7_000, gpr_stuck 19 0 false);
+      (12_000, None) ]
+    ~traced:true;
+  (* arming keeps the traces that never write the stuck register *)
+  let m = Machine.create () in
+  S4e_asm.Program.load_machine p m;
+  ignore (Machine.run m ~fuel:3_000 : Machine.stop_reason);
+  let live () =
+    match Machine.trace_stats m with
+    | Some s -> s.S4e_cpu.Superblock.sb_live
+    | None -> 0
+  in
+  let before = live () in
+  Machine.set_stuck m (gpr_stuck 9 4 false);
+  if before < 2 || live () < 1 || live () >= before then
+    Alcotest.failf
+      "arming s1 should kill loop_a's traces and keep loop_b's (%d -> %d)"
+      before (live ())
+
 (* ---------------- register kernels vs the reference ---------------- *)
 
 (* Every register kernel ({!S4e_cpu.Reg_kernel}) against [Exec.execute]:
@@ -906,6 +1045,87 @@ let kernel_props =
     prop ~count:500 "kernel in a two-block trace = Exec.execute" arb
       trace_kernel_agrees ]
 
+(* ---------------- warm restores ---------------- *)
+
+(* A restore keeps every translation whose bytes it leaves unchanged.
+   On every engine config: snapshot a torture program [rc_at]
+   instructions in, optionally rewrite some of its code words (so the
+   run translates code the restore must take back), run, restore and
+   run again — three times, so block heat builds up across reruns and
+   traces promote.  Every rerun must equal the same restore on a fresh
+   machine, which translates everything from the restored bytes. *)
+type restore_case = {
+  rc_seed : int;
+  rc_compress : bool;
+  rc_rig : bool;
+  rc_rewrite : bool;
+  rc_at : int;
+}
+
+let restore_case_gen =
+  let open QCheck.Gen in
+  let* rc_seed = int_bound 100_000 and* rc_compress = bool and* rc_rig = bool
+  and* rc_rewrite = bool and* rc_at = int_bound 3_000 in
+  return { rc_seed; rc_compress; rc_rig; rc_rewrite; rc_at }
+
+let print_restore_case c =
+  Printf.sprintf "seed %d%s%s%s, snapshot at %d" c.rc_seed
+    (if c.rc_compress then ", rvc" else "")
+    (if c.rc_rig then ", device rig" else "")
+    (if c.rc_rewrite then ", code rewritten" else "")
+    c.rc_at
+
+(* Flip one immediate bit in the word at the snapshot pc and in two
+   other code words, through the notifying [load_word]. *)
+let rewrite_code m p seed =
+  match S4e_asm.Program.code_range p with
+  | None -> ()
+  | Some (lo, hi) ->
+      let words = max 1 ((hi - lo) / 4) in
+      let pc = (Machine.state m).S4e_cpu.Arch_state.pc land lnot 3 in
+      List.iter
+        (fun a ->
+          if a >= lo && a < hi then
+            let ram = S4e_mem.Bus.ram m.Machine.bus in
+            let w = S4e_mem.Sparse_mem.read32 ram a in
+            Machine.load_word m a (w lxor (1 lsl (20 + (seed mod 12)))))
+        [ pc; lo + (4 * (seed mod words)); lo + (4 * (seed / 7 mod words)) ]
+
+let warm_restore_agrees c =
+  let cfg =
+    { Torture.default_config with
+      Torture.seed = c.rc_seed; compress = c.rc_compress }
+  in
+  let p = Torture.generate cfg in
+  let fuel = Torture.fuel_bound cfg in
+  qcheck_ok
+    (List.find_map
+       (fun (name, config) ->
+         let m = Machine.create ~config () in
+         S4e_asm.Program.load_machine p m;
+         if c.rc_rig then S4e_core.Flows.arm_device_rig m;
+         ignore (Machine.run m ~fuel:c.rc_at : Machine.stop_reason);
+         let snap = Machine.snapshot m in
+         if c.rc_rewrite then rewrite_code m p c.rc_seed;
+         ignore (Machine.run m ~fuel : Machine.stop_reason);
+         let f = Machine.create ~config () in
+         Machine.restore f snap;
+         let fresh = outcome_of f (Machine.run f ~fuel) in
+         List.find_map
+           (fun rerun ->
+             Machine.restore m snap;
+             let warm = outcome_of m (Machine.run m ~fuel) in
+             if warm = fresh then None
+             else
+               Some
+                 (Printf.sprintf
+                    "%s, rerun %d: warm restore differs from a fresh one \
+                     (stop %s/%s, instret %d/%d, cycles %d/%d)"
+                    name rerun warm.o_stop fresh.o_stop warm.o_instret
+                    fresh.o_instret warm.o_cycles fresh.o_cycles))
+           [ 1; 2; 3 ])
+       engines)
+
 let props =
   [ prop "torture: engines agree" seed_gen (torture_agrees ~compress:false);
     prop ~count:15 "torture (compressed): engines agree" seed_gen
@@ -950,7 +1170,13 @@ let () =
            `Quick test_stuck_f_suites;
          Alcotest.test_case "hot loop: no trace reads past the force" `Quick
            test_stuck_hot_loop;
+         Alcotest.test_case "traces stay on while a bit is stuck" `Quick
+           test_stuck_traces_stay_on;
          Alcotest.test_case "restore and reset force again" `Quick
            test_stuck_restore_reset ]);
       ("torture", props);
+      ("restore",
+       [ prop ~count:40 "warm restore = fresh restore"
+           (QCheck.make ~print:print_restore_case restore_case_gen)
+           warm_restore_agrees ]);
       ("kernels", kernel_props) ]

@@ -220,10 +220,68 @@ let test_tlb_restore_invalidates () =
   Bus.write32 bus 0x8000_0000 2;
   Bus.write32 bus 0x9000_0000 3;
   ignore (Bus.read32 bus 0x9000_0000);
-  Mem.restore (Bus.ram bus) snap;
+  Mem.restore (Bus.ram bus) snap ~watch:(fun _ -> false)
+    ~changed:(fun _ _ -> ());
   Alcotest.(check int) "restored value visible" 1 (Bus.read32 bus 0x8000_0000);
   Alcotest.(check int) "post-snapshot page gone" 0 (Bus.read32 bus 0x9000_0000);
   Alcotest.(check int) "page count rewound" 1 (Mem.touched_pages (Bus.ram bus))
+
+(* [restore ~changed] reports what it changes, per watched page:
+   maximal runs of differing 8-byte words, and whole pages for the ones
+   it drops or adds.  Unwatched pages are restored but not reported. *)
+let test_restore_reports_changes () =
+  let m = Mem.create () in
+  let a = 0x8000_0000 and b = 0x8000_1000 and c = 0x8000_2000 in
+  Mem.write32 m a 1;
+  Mem.write32 m b 2;
+  let snap = Mem.snapshot m in
+  let restore ~watch =
+    let got = ref [] in
+    Mem.restore m snap ~watch ~changed:(fun addr len ->
+        got := (addr, len) :: !got);
+    List.sort compare !got
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "nothing changed" [] (restore ~watch:(fun _ -> true));
+  Mem.write8 m (a + 10) 0xff;
+  Mem.write32 m (a + 300) 7;
+  Mem.write32 m (a + 308) 7;
+  Mem.write8 m (a + 4095) 1;
+  Mem.write8 m (b + 0) 9;
+  Mem.write8 m c 1;
+  Alcotest.check pairs "8-byte runs, dropped page whole"
+    [ (a + 8, 8); (a + 296, 16); (a + 4088, 8); (b, 8); (c, 4096) ]
+    (restore ~watch:(fun _ -> true));
+  Alcotest.(check int) "contents restored" 0 (Mem.read8 m (a + 10));
+  Mem.write8 m (a + 10) 0xff;
+  Mem.write8 m (b + 0) 9;
+  Alcotest.check pairs "only watched pages" [ (a + 8, 8) ]
+    (restore ~watch:(fun base -> base = a));
+  Alcotest.(check int) "unwatched page restored" 2 (Mem.read32 m b);
+  Mem.clear m;
+  Alcotest.check pairs "added pages whole" [ (a, 4096); (b, 4096) ]
+    (restore ~watch:(fun _ -> true));
+  Alcotest.(check int) "added page contents" 1 (Mem.read32 m a)
+
+(* [fingerprint] is a function of the allocated pages alone: equal
+   memories agree whatever their history, and a one-bit change or an
+   extra all-zero page changes it. *)
+let test_fingerprint () =
+  let a = Mem.create () and b = Mem.create () in
+  Mem.write32 a 0x8000_0000 5;
+  Mem.write32 a 0x8000_2000 7;
+  Mem.write32 b 0x8000_2000 7;
+  Mem.write32 b 0x8000_0000 9;
+  Mem.write32 b 0x8000_0000 5;
+  let fp = Mem.fingerprint in
+  Alcotest.(check int) "equal memories" (fp a) (fp b);
+  Alcotest.(check bool) "equal digests" true (Mem.digest a = Mem.digest b);
+  Mem.write8 b 0x8000_2fff 0x80;
+  Alcotest.(check bool) "one bit differs" true (fp a <> fp b);
+  Mem.write8 b 0x8000_2fff 0;
+  Alcotest.(check int) "bit restored" (fp a) (fp b);
+  Mem.write8 b 0x8000_5000 0;
+  Alcotest.(check bool) "an all-zero page counts" true (fp a <> fp b)
 
 (* Differential: a TLB-on bus and a TLB-off bus fed the same operation
    stream must return the same values and end with digest-identical RAM.
@@ -366,7 +424,10 @@ let () =
           Alcotest.test_case "page crossing" `Quick test_page_crossing;
           Alcotest.test_case "bulk" `Quick test_bulk;
           Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
-          Alcotest.test_case "clear" `Quick test_clear ] );
+          Alcotest.test_case "clear" `Quick test_clear;
+          Alcotest.test_case "restore reports changes" `Quick
+            test_restore_reports_changes;
+          Alcotest.test_case "fingerprint" `Quick test_fingerprint ] );
       ( "bus",
         [ Alcotest.test_case "routing" `Quick test_bus_routing;
           Alcotest.test_case "overlap rejected" `Quick test_bus_overlap_rejected;
